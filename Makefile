@@ -60,6 +60,7 @@ test:
 
 race:
 	$(GO) test -race -timeout 10m ./internal/core/... ./internal/trace/... ./internal/obs/... ./internal/fault/... ./internal/sim/... ./internal/server/... ./internal/journal/...
+	$(GO) test -race -count=10 -timeout 10m -run 'TestDepScheduler(Parallel|WavesAre|HaltedWave|ObservedWaves)|TestCriticalPathFirst|TestPanicMatrix/wavefront|TestDependencyCycle|TestUnknownDependency' ./internal/core/
 	$(GO) test -race -timeout 10m -run 'Parallel|Exact|Threaded' ./internal/apps/...
 	$(GO) test -race -timeout 10m -run 'TestGoldenEquivalence|TestRunJobs|TestReplayBench|TestRunJob|TestConfigReuse|TestPipelinedJob' ./internal/harness/
 

@@ -47,13 +47,14 @@ func ThreadedExact(g *Grid, iters int, sched *core.DepScheduler) error {
 	steps := g.fusedSteps()
 	prev := make([]core.ThreadID, steps+1) // ids of iteration it−1
 	cur := make([]core.ThreadID, steps+1)
+	var buf [2]core.ThreadID // Fork does not retain deps
 	for it := 0; it < iters; it++ {
 		lastArg := 0
 		if it == iters-1 {
 			lastArg = 1
 		}
 		for j := 1; j <= steps; j++ {
-			deps := make([]core.ThreadID, 0, 2)
+			deps := buf[:0]
 			if j > 1 {
 				deps = append(deps, cur[j-1])
 			}

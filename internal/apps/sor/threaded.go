@@ -66,9 +66,10 @@ func ThreadedExact(a []float64, n, t int, sched *core.DepScheduler) error {
 	relax := func(j, _ int) { relaxColumn(a, n, j) }
 	prev := make([]core.ThreadID, n) // ids of iteration it−1
 	cur := make([]core.ThreadID, n)
+	var buf [2]core.ThreadID // Fork does not retain deps
 	for it := 0; it < t; it++ {
 		for j := 1; j < n-1; j++ {
-			deps := make([]core.ThreadID, 0, 2)
+			deps := buf[:0]
 			if j > 1 {
 				deps = append(deps, cur[j-1])
 			}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -71,12 +73,14 @@ type DepScheduler struct {
 	binIdx  map[binKey]int
 	pending int
 
-	// Wavefront scratch, reused across waves (and runs) so frontier
-	// collection allocates nothing in steady state: frontier is the flat
-	// runnable-thread buffer each wave's spans slice into, and active is
-	// the compacted list of bin indexes still holding unexecuted threads.
+	// Wavefront scratch, reused across waves (and runs) so building a
+	// frontier allocates nothing in steady state: frontier is the flat
+	// runnable-thread buffer each wave's spans slice into, and readied[w]
+	// collects the dependents worker w's threads made runnable during the
+	// current wave. Each worker appends only to its own slice; merged after
+	// the wave barrier they are the next frontier.
 	frontier []ThreadID
-	active   []int
+	readied  [][]ThreadID
 }
 
 // waveSpan is one bin's slice of a wave frontier: frontier[start:end]
@@ -108,8 +112,7 @@ type depThread struct {
 type depBin struct {
 	key   binKey
 	queue []ThreadID // forked order
-	next  int        // first unexecuted index
-	pend  int        // queued threads not yet executed
+	next  int        // first unexecuted index (serial executor)
 }
 
 // ErrDependencyCycle reports that Run found threads that can never become
@@ -217,7 +220,8 @@ func (d *DepScheduler) BinsUsed() int { return len(d.bins) }
 // Fork schedules f(arg1, arg2) with the usual address hints, to run only
 // after every thread in deps has completed. It returns the new thread's
 // ID. Unknown (future) IDs in deps are an error at Run time; IDs from a
-// previous Run are invalid.
+// previous Run are invalid. deps is not retained, so callers may reuse
+// one buffer across Forks.
 //
 // Like Scheduler.Fork, it must never overlap a Run in progress — Fork is
 // single-goroutine and the fork phase must complete before Run starts —
@@ -254,7 +258,6 @@ func (d *DepScheduler) Fork(f Func, arg1, arg2 int, h1, h2, h3 uint64, deps ...T
 	}
 	d.threads = append(d.threads, t)
 	d.bins[bi].queue = append(d.bins[bi].queue, id)
-	d.bins[bi].pend++
 	d.pending++
 	return id
 }
@@ -333,25 +336,31 @@ func (d *DepScheduler) RunContext(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// runWaves is the parallel executor: repeatedly collect the runnable
-// frontier (per bin, in forked order), cut it into contiguous weighted
-// bin segments, and execute one segment per worker. The barrier between
-// waves is what lets dependents observe completed predecessors without
-// per-thread synchronization; within a wave only threads with no
+// runWaves is the parallel executor: each wave takes the runnable
+// frontier in (bin index, ThreadID) order, cuts it into contiguous
+// weighted bin segments, and executes one segment per worker. The barrier
+// between waves is what lets dependents observe completed predecessors
+// without per-thread synchronization; within a wave only threads with no
 // dependence path between them run, and they are at least two bins apart
 // in the wavefront codes, so per-worker bin runs keep the paper's
 // clustering.
 //
-// Collection is amortized: runnable threads go into one flat reused
-// buffer (d.frontier) described by per-bin spans rather than a fresh
-// slice per bin per wave, and bins whose threads have all executed leave
-// the scan via the compacted active list — a deep DAG over many bins
-// pays per wave only for the bins still alive.
+// Each wave costs time proportional to its frontier, not to the threads
+// still pending: the first frontier is one pass over the threads with no
+// unfinished predecessor, and every later one is exactly the threads
+// whose last predecessor finished in the previous wave — which the
+// workers collected in their readied slices as they ran — merged and
+// sorted. Waves are therefore the Kahn levels of the DAG.
 func (d *DepScheduler) runWaves(ctx context.Context) error {
 	ctrl := newRunControl(ctx)
-	d.active = d.active[:0]
-	for i := range d.bins {
-		d.active = append(d.active, i)
+	if len(d.readied) < d.workers {
+		d.readied = make([][]ThreadID, d.workers)
+	}
+	d.frontier = d.frontier[:0]
+	for id := range d.threads {
+		if d.threads[id].waits == 0 {
+			d.frontier = append(d.frontier, ThreadID(id))
+		}
 	}
 	var (
 		spans   []waveSpan
@@ -361,49 +370,11 @@ func (d *DepScheduler) runWaves(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		d.frontier = d.frontier[:0]
-		spans, weights = spans[:0], weights[:0]
-		total := 0
-		for _, bi := range d.active {
-			b := d.bins[bi]
-			start := len(d.frontier)
-			for i := b.next; i < len(b.queue); i++ {
-				id := b.queue[i]
-				t := &d.threads[id]
-				if t.done {
-					if i == b.next {
-						b.next++
-					}
-					continue
-				}
-				if t.waits > 0 {
-					continue
-				}
-				d.frontier = append(d.frontier, id)
-			}
-			if n := len(d.frontier) - start; n > 0 {
-				if d.critical && n > 1 {
-					// Tallest chains first within the bin; stable so ties
-					// keep forked order.
-					slot := d.frontier[start:]
-					sort.SliceStable(slot, func(a, b int) bool {
-						return d.heights[slot[a]] > d.heights[slot[b]]
-					})
-				}
-				spans = append(spans, waveSpan{start: start, end: len(d.frontier), bin: bi})
-				weights = append(weights, n)
-				total += n
-			}
-		}
+		total := len(d.frontier)
 		if total == 0 {
 			return d.cycleError()
 		}
-		if d.critical && len(spans) > 1 {
-			// Bins carrying the tallest remaining chains drain first. This
-			// trades some tour adjacency for chain progress, which is the
-			// point of CriticalPathFirst; stable keeps tour order on ties.
-			sort.Stable(&spanHeightSort{spans: spans, weights: weights, d: d})
-		}
+		spans, weights = d.frontierSpans(spans[:0], weights[:0])
 		d.met.waves.Inc(0)
 		d.met.frontier.Observe(0, uint64(total))
 		var start time.Time
@@ -419,21 +390,55 @@ func (d *DepScheduler) runWaves(ctx context.Context) error {
 		if err := ctrl.err(); err != nil {
 			return err
 		}
-		// The wave completed: settle per-bin remaining counts serially and
-		// drop exhausted bins from the next collection scan.
-		for _, sp := range spans {
-			d.bins[sp.bin].pend -= sp.end - sp.start
-		}
-		live := d.active[:0]
-		for _, bi := range d.active {
-			if d.bins[bi].pend > 0 {
-				live = append(live, bi)
-			}
-		}
-		d.active = live
+		// The wave completed: the threads it made runnable are the next
+		// frontier.
 		d.pending -= total
+		d.frontier = d.frontier[:0]
+		for w, ids := range d.readied {
+			d.frontier = append(d.frontier, ids...)
+			d.readied[w] = ids[:0]
+		}
 	}
 	return ctx.Err() // cancellation wins even on a completed drain
+}
+
+// frontierSpans sorts the frontier by (bin index, ThreadID) — the order a
+// walk of every bin's queue would find its runnable threads in — and
+// appends one span and weight per bin run. Under CriticalPathFirst each
+// span is then ordered tallest chain first, and the spans tallest span
+// first.
+func (d *DepScheduler) frontierSpans(spans []waveSpan, weights []int) ([]waveSpan, []int) {
+	slices.SortFunc(d.frontier, func(a, b ThreadID) int {
+		if c := cmp.Compare(d.threads[a].bin, d.threads[b].bin); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	for start := 0; start < len(d.frontier); {
+		bi := d.threads[d.frontier[start]].bin
+		end := start + 1
+		for end < len(d.frontier) && d.threads[d.frontier[end]].bin == bi {
+			end++
+		}
+		if d.critical && end-start > 1 {
+			// Tallest chains first within the bin; stable so ties keep
+			// forked order.
+			slot := d.frontier[start:end]
+			sort.SliceStable(slot, func(a, b int) bool {
+				return d.heights[slot[a]] > d.heights[slot[b]]
+			})
+		}
+		spans = append(spans, waveSpan{start: start, end: end, bin: bi})
+		weights = append(weights, end-start)
+		start = end
+	}
+	if d.critical && len(spans) > 1 {
+		// Bins carrying the tallest remaining chains drain first. This
+		// trades some tour adjacency for chain progress, which is the
+		// point of CriticalPathFirst; stable keeps tour order on ties.
+		sort.Stable(&spanHeightSort{spans: spans, weights: weights, d: d})
+	}
+	return spans, weights
 }
 
 // executeWave runs the collected frontier on the worker pool, one
@@ -442,10 +447,11 @@ func (d *DepScheduler) runWaves(ctx context.Context) error {
 // clusters sharing a cache take adjacent runs of frontier bins, exactly
 // as the parallel Scheduler tour does; otherwise it is the flat weighted
 // partition. Workers slice the shared frontier buffer read-only through
-// their spans and check the shared runControl between bins, so a panic on
-// one worker (recovered into the control) or an expired ctx halts the
+// their spans, append the dependents they make runnable to their own
+// readied slice, and check the shared runControl between bins, so a panic
+// on one worker (recovered into the control) or an expired ctx halts the
 // wave at bin granularity; fanOut's barrier then guarantees quiescence
-// before runWaves inspects the control.
+// before runWaves inspects the control and the readied slices.
 func (d *DepScheduler) executeWave(spans []waveSpan, weights []int, ctrl *runControl) {
 	var asn []segRange
 	if d.topo != nil {
@@ -456,12 +462,15 @@ func (d *DepScheduler) executeWave(spans []waveSpan, weights []int, ctrl *runCon
 	d.sched.fanOut(len(asn), "wave", func(self int) {
 		sp := d.sched.met.span(self, "wave")
 		defer sp.End()
+		ready := d.readied[self]
+		defer func() { d.readied[self] = ready }()
 		for si := asn[self].lo; si < asn[self].hi; si++ {
 			if ctrl.halted() {
 				return
 			}
 			ws := spans[si]
-			if perr := d.runWaveBin(d.frontier[ws.start:ws.end], ws.bin, self); perr != nil {
+			var perr *ThreadPanicError
+			if ready, perr = d.runWaveBin(d.frontier[ws.start:ws.end], ws.bin, self, ready); perr != nil {
 				ctrl.record(perr)
 				return
 			}
@@ -539,11 +548,13 @@ func (d *DepScheduler) serialBinOrder() []int {
 	return order
 }
 
-// runWaveBin executes one wave bin's threads, recovering a thread panic
-// into a *ThreadPanicError. Threads that completed before the panic have
-// notified their dependents; the run is abandoned anyway, so the partial
-// notifications are never observed past reset.
-func (d *DepScheduler) runWaveBin(ids []ThreadID, binIdx, worker int) (perr *ThreadPanicError) {
+// runWaveBin executes one wave bin's threads, appending to ready every
+// dependent whose last unfinished predecessor was among them, and
+// recovers a thread panic into a *ThreadPanicError. Threads that completed
+// before the panic have notified their dependents; the run is abandoned
+// anyway, so the partial notifications are never observed past reset.
+func (d *DepScheduler) runWaveBin(ids []ThreadID, binIdx, worker int, in []ThreadID) (ready []ThreadID, perr *ThreadPanicError) {
+	ready = in
 	cur := ThreadID(-1)
 	defer func() {
 		if r := recover(); r != nil {
@@ -563,10 +574,12 @@ func (d *DepScheduler) runWaveBin(ids []ThreadID, binIdx, worker int) (perr *Thr
 		t.fn(t.arg1, t.arg2)
 		t.done = true
 		for _, dep := range t.dependents {
-			atomic.AddInt32(&d.threads[dep].waits, -1)
+			if atomic.AddInt32(&d.threads[dep].waits, -1) == 0 {
+				ready = append(ready, dep)
+			}
 		}
 	}
-	return nil
+	return ready, nil
 }
 
 // drainBin runs every currently runnable thread of the bin, in forked
@@ -681,13 +694,18 @@ func (d *DepScheduler) cycleError() *DependencyCycleError {
 	}
 }
 
-// reset discards all thread state; IDs from before are invalid. The
-// wavefront scratch buffers keep their capacity for the next run.
+// reset discards all thread state; IDs from before are invalid. The bin
+// index and the wavefront scratch buffers keep their capacity for the
+// next run; emptying the readied slices matters after a wave halted by a
+// panic or a cancel, whose readied dependents must not leak into the
+// next run's frontiers.
 func (d *DepScheduler) reset() {
 	d.threads = d.threads[:0]
 	d.bins = d.bins[:0]
-	d.binIdx = make(map[binKey]int)
+	clear(d.binIdx)
 	d.pending = 0
 	d.frontier = d.frontier[:0]
-	d.active = d.active[:0]
+	for w := range d.readied {
+		d.readied[w] = d.readied[w][:0]
+	}
 }
