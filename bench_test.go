@@ -517,7 +517,7 @@ func encodeDecode(b *testing.B, refs []trace.Ref, sink trace.Recorder) int {
 // cmd/locality-bench -simbench runs the wider four-workload version and
 // records BENCH_SIM.json.
 func BenchmarkSimModes(b *testing.B) {
-	for _, mode := range []harness.Mode{harness.ModeSerial, harness.ModeBatched, harness.ModePipelined} {
+	for _, mode := range []harness.Mode{harness.ModeSerial, harness.ModePipelined} {
 		b.Run(mode.String(), func(b *testing.B) {
 			c := quick()
 			c.Mode = mode

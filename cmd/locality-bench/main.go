@@ -4,7 +4,7 @@
 // Usage:
 //
 //	locality-bench [-exp all|table1..table9|figure4|ablations] [-size quick|scaled|full]
-//	               [-mode batch|serial|pipeline] [-parallel N]
+//	               [-mode pipeline|serial] [-parallel N]
 //	               [-topology 32k:2,256k:8,8m:64] [-steal-chunk N]
 //	               [-progress] [-list] [-json BENCH_CORE.json]
 //	               [-simbench BENCH_SIM.json] [-appbench BENCH_APPS.json]
@@ -28,9 +28,14 @@
 // default; per-level topology chunks override it).
 //
 // -parallel N runs each table's independent simulations on up to N
-// concurrent workers; -mode selects the reference-stream path. All modes
-// and parallelism levels produce byte-identical tables (the golden
-// equivalence tests in internal/harness enforce this).
+// concurrent workers. -mode selects the reference-stream path: pipeline
+// (the default) emits references on the job's goroutine while the cache
+// simulation consumes them on the pipeline's, draining inline when
+// GOMAXPROCS is 1; serial is the per-reference equivalence oracle. Both
+// modes and every parallelism level produce byte-identical tables (the
+// golden equivalence tests in internal/harness enforce this). -mode batch,
+// the name of a path since folded into the default, still runs the
+// default path.
 //
 // -simbench skips the experiment tables and instead measures end-to-end
 // simulation throughput (refs/sec) through each reference-stream path,
@@ -92,7 +97,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	format := flag.String("format", "text", "output format: text or csv")
 	jsonOut := flag.String("json", "", "also write a machine-readable benchmark record to this file (e.g. BENCH_CORE.json)")
-	mode := flag.String("mode", "batch", "reference-stream path: batch, serial, or pipeline (all bit-identical)")
+	mode := flag.String("mode", "pipeline", "reference-stream path: pipeline or serial (bit-identical)")
 	parallel := flag.Int("parallel", 1, "run up to N independent simulations per table concurrently")
 	simbench := flag.String("simbench", "", "measure pipeline throughput instead of running experiments; write the record to this file (e.g. BENCH_SIM.json)")
 	simbenchReps := flag.Int("simbench-reps", 3, "with -simbench: best-of repetition count per stage")
@@ -126,15 +131,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -size %q (want quick, scaled, or full)\n", *size)
 		os.Exit(2)
 	}
-	switch *mode {
-	case "batch":
-		cfg.Mode = harness.ModeBatched
-	case "serial":
-		cfg.Mode = harness.ModeSerial
-	case "pipeline":
-		cfg.Mode = harness.ModePipelined
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -mode %q (want batch, serial, or pipeline)\n", *mode)
+	var err error
+	if cfg.Mode, err = harness.ParseMode(*mode); err != nil {
+		fmt.Fprintf(os.Stderr, "bad -mode: %v\n", err)
 		os.Exit(2)
 	}
 	cfg.Parallel = *parallel

@@ -1,13 +1,14 @@
 package harness
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
 
 // eqConfig is a reduced geometry for the golden equivalence suite: large
 // enough that every app schedules real thread batches and takes all three
-// miss classes, small enough that the full serial/batch/pipeline/parallel
+// miss classes, small enough that the full serial/inline/ring/parallel
 // matrix — which this suite runs many times, including under -race —
 // stays in test-suite time.
 func eqConfig() Config {
@@ -27,7 +28,16 @@ func eqConfig() Config {
 
 // eqModes is the reference-stream matrix every equivalence test sweeps:
 // the serial per-reference path is the golden baseline.
-var eqModes = []Mode{ModeSerial, ModeBatched, ModePipelined}
+var eqModes = []Mode{ModeSerial, ModePipelined}
+
+// withProcs runs fn with GOMAXPROCS pinned to n, then restores it. The
+// pipeline picks its inline or ring hand-off from GOMAXPROCS when it is
+// built, and GOMAXPROCS is process-global: call this only outside
+// t.Parallel tests, or a concurrent test would see the pinned value.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
 
 // requireSameResult asserts bit-identical simulation output: reference
 // tallies, per-level stats including the L2 miss classification, the
@@ -66,7 +76,7 @@ func eqApps() []struct {
 }
 
 // TestGoldenEquivalenceStats pins the exactness contract at the
-// simulation level: for each app, the batched and pipelined paths must
+// simulation level: for each app, the default pipelined path must
 // reproduce the serial path's results bit for bit.
 func TestGoldenEquivalenceStats(t *testing.T) {
 	for _, app := range eqApps() {
@@ -105,7 +115,7 @@ func TestGoldenEquivalenceParallelJobs(t *testing.T) {
 	serial.Mode = ModeSerial
 	want := serial.runJobs(nil, jobs(serial))
 	par := eqConfig()
-	par.Mode = ModeBatched
+	par.Mode = ModePipelined
 	par.Parallel = 4
 	got := par.runJobs(nil, jobs(par))
 	if len(got) != len(want) {
@@ -117,10 +127,12 @@ func TestGoldenEquivalenceParallelJobs(t *testing.T) {
 }
 
 // TestGoldenEquivalenceTables renders the four apps' miss tables —
-// Table 3 (matmul), 5 (PDE), 7 (SOR), and 9 (N-body) — through every
-// mode and the parallel pool, demanding byte-identical text against the
-// serial render. This is the end-to-end contract: whatever path the
-// references take, the published numbers cannot move.
+// Table 3 (matmul), 5 (PDE), 7 (SOR), and 9 (N-body) — through the
+// default path with its inline hand-off (GOMAXPROCS=1) and its ring
+// hand-off (GOMAXPROCS=2), and through the parallel pool, demanding
+// byte-identical text against the serial render. This is the end-to-end
+// contract: whatever path the references take, the published numbers
+// cannot move.
 func TestGoldenEquivalenceTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every miss-table simulation four times")
@@ -134,18 +146,17 @@ func TestGoldenEquivalenceTables(t *testing.T) {
 		{"table7", func(c Config) string { return c.Table7(nil).String() }},
 		{"table9", func(c Config) string { return c.Table9(nil).String() }},
 	}
-	variants := []struct {
-		name string
-		cfg  Config
-	}{
-		{"batch", func() Config { c := eqConfig(); c.Mode = ModeBatched; return c }()},
-		{"pipeline", func() Config { c := eqConfig(); c.Mode = ModePipelined; return c }()},
-		{"parallel4", func() Config {
-			c := eqConfig()
-			c.Mode = ModeBatched
-			c.Parallel = 4
-			return c
-		}()},
+	// The pinned renders run here, before the parallel subtests start.
+	inline, ring := map[string]string{}, map[string]string{}
+	for _, pin := range []struct {
+		procs int
+		got   map[string]string
+	}{{1, inline}, {2, ring}} {
+		withProcs(pin.procs, func() {
+			for _, b := range builders {
+				pin.got[b.name] = b.build(eqConfig())
+			}
+		})
 	}
 	for _, b := range builders {
 		b := b
@@ -157,10 +168,17 @@ func TestGoldenEquivalenceTables(t *testing.T) {
 			if !strings.Contains(want, "L2") {
 				t.Fatalf("degenerate golden table render:\n%s", want)
 			}
-			for _, v := range variants {
-				if got := b.build(v.cfg); got != want {
+			par := eqConfig()
+			par.Parallel = 4
+			renders := []struct{ name, got string }{
+				{"inline", inline[b.name]},
+				{"ring", ring[b.name]},
+				{"parallel4", b.build(par)},
+			}
+			for _, r := range renders {
+				if r.got != want {
 					t.Errorf("%s render diverges from serial:\n--- serial ---\n%s\n--- %s ---\n%s",
-						v.name, want, v.name, got)
+						r.name, want, r.name, r.got)
 				}
 			}
 		})

@@ -7,18 +7,27 @@ import (
 )
 
 // TestGuardPipelineThroughput is the regression tripwire for the
-// reference-stream paths: the batched and pipelined stages must not fall
-// below the serial per-reference path. The pipeline once shipped at 0.82x
-// of serial (double-copying chunks through a churning sync.Pool); this
-// guard exists so that class of regression fails a build loudly instead
-// of surfacing months later in a benchmark record.
+// reference-stream path: the default pipelined stage must keep its margin
+// over the serial per-reference oracle. With a spare core the pipeline
+// overlaps emission with cache simulation, and it stays the one
+// production path only while it beats serial by at least 10% there; on
+// one CPU (or at GOMAXPROCS=1) it drains inline and must merely not fall
+// below serial. The pipeline once shipped at 0.82x of serial
+// (double-copying chunks through a churning sync.Pool); this guard exists
+// so that class of regression fails a build loudly instead of surfacing
+// months later in a benchmark record.
 //
 // It measures real throughput, so it is opt-in: set GUARD_PIPELINE=1
-// (make guard-pipeline) to run it on a quiet host. The 5% allowance
-// absorbs scheduler noise that best-of-3 at the quick geometry does not.
+// (make guard-pipeline) to run it on a quiet host. The 1-CPU floor's 5%
+// allowance absorbs scheduler noise that best-of-3 at the quick geometry
+// does not.
 func TestGuardPipelineThroughput(t *testing.T) {
 	if os.Getenv("GUARD_PIPELINE") == "" {
 		t.Skip("set GUARD_PIPELINE=1 to run the pipeline-vs-serial throughput guard")
+	}
+	floor := 0.95
+	if runtime.NumCPU() >= 2 && runtime.GOMAXPROCS(0) >= 2 {
+		floor = 1.10
 	}
 	stages := Quick().SimBench(3, nil)
 	byName := make(map[string]StageResult, len(stages))
@@ -29,17 +38,16 @@ func TestGuardPipelineThroughput(t *testing.T) {
 	if !ok || serial.RefsPerSec <= 0 {
 		t.Fatalf("no serial baseline in %+v", stages)
 	}
-	for _, name := range []string{"batch", "pipeline"} {
-		s, ok := byName[name]
-		if !ok {
-			t.Fatalf("stage %q missing from SimBench", name)
-		}
-		ratio := s.RefsPerSec / serial.RefsPerSec
-		t.Logf("%-8s %12.0f refs/sec (%.2fx vs serial %.0f)", name, s.RefsPerSec, ratio, serial.RefsPerSec)
-		if ratio < 0.95 {
-			t.Errorf("%s path runs at %.2fx of serial (%.0f vs %.0f refs/sec): the %s hand-off has regressed",
-				name, ratio, s.RefsPerSec, serial.RefsPerSec, name)
-		}
+	pipe, ok := byName["pipeline"]
+	if !ok {
+		t.Fatalf("stage %q missing from SimBench", "pipeline")
+	}
+	ratio := pipe.RefsPerSec / serial.RefsPerSec
+	t.Logf("pipeline %12.0f refs/sec (%.2fx vs serial %.0f; floor %.2fx at %d CPUs, GOMAXPROCS %d)",
+		pipe.RefsPerSec, ratio, serial.RefsPerSec, floor, runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	if ratio < floor {
+		t.Errorf("pipeline path runs at %.2fx of serial (%.0f vs %.0f refs/sec), below the %.2fx floor: the hand-off has regressed",
+			ratio, pipe.RefsPerSec, serial.RefsPerSec, floor)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,38 +27,50 @@ import (
 	"threadsched/internal/vm"
 )
 
-// Mode selects how a traced run feeds the cache simulator. All three
-// modes are bit-exact: the hierarchy observes the identical reference
-// sequence, so stats, miss classification, and rendered tables are
-// byte-identical (enforced by the golden equivalence tests).
+// Mode selects how a traced run feeds the cache simulator. Both modes are
+// bit-exact: the hierarchy observes the identical reference sequence, so
+// stats, miss classification, and rendered tables are byte-identical
+// (enforced by the golden equivalence tests).
 type Mode int
 
 const (
-	// ModeBatched (the default) buffers references in the model CPU and
-	// hands them to the hierarchy in chunks — one virtual dispatch per
-	// chunk instead of per reference.
-	ModeBatched Mode = iota
+	// ModePipelined (the default) buffers references in the model CPU and
+	// hands each full buffer to a trace.Pipeline: the workload emits on
+	// the job's goroutine while the cache hierarchy consumes chunks on
+	// the pipeline's, behind a bounded SPSC ring. On a GOMAXPROCS=1
+	// runtime the pipeline drains inline, so the hierarchy takes each
+	// chunk synchronously on the emitting goroutine.
+	ModePipelined Mode = iota
 	// ModeSerial is the original per-reference path: every emit is one
-	// Recorder.Record interface call. Kept as the equivalence baseline.
+	// Recorder.Record interface call. Kept as the equivalence oracle.
 	ModeSerial
-	// ModePipelined batches and additionally moves the cache simulation
-	// to its own goroutine behind a bounded SPSC chunk ring, overlapping
-	// trace generation with simulation on multicore hosts.
-	ModePipelined
 )
 
 // String names the mode.
 func (m Mode) String() string {
 	switch m {
-	case ModeBatched:
-		return "batch"
-	case ModeSerial:
-		return "serial"
 	case ModePipelined:
 		return "pipeline"
+	case ModeSerial:
+		return "serial"
 	default:
 		return "mode?"
 	}
+}
+
+// ParseMode maps a mode name, in any case, onto its Mode: "pipeline" for
+// the default path or "serial" for the oracle. "batch", the name of a
+// synchronous batched path since folded into the pipelined one, is kept as
+// an alias of "pipeline" so older command lines, clients and journaled
+// job specs keep working.
+func ParseMode(name string) (Mode, error) {
+	switch strings.ToLower(name) {
+	case "pipeline", "batch":
+		return ModePipelined, nil
+	case "serial":
+		return ModeSerial, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q (want pipeline or serial)", name)
 }
 
 // Config selects workload sizes and cache scaling for the experiments.
@@ -82,7 +95,7 @@ type Config struct {
 	// Table1Threads is the null-thread count for the overhead benchmark.
 	Table1Threads int
 
-	// Mode selects the reference-stream path (batched by default).
+	// Mode selects the reference-stream path (pipelined by default).
 	Mode Mode
 	// Parallel bounds how many independent simulations a table runs
 	// concurrently; 0 or 1 is serial. Experiments share nothing but
@@ -204,15 +217,15 @@ type runner func(cpu *sim.CPU, as *vm.AddressSpace) *core.Scheduler
 // simulate runs one traced variant against one machine model through the
 // configured reference-stream mode. With Config.Obs attached, the run
 // acquires a metrics track of its own and reports its wall time
-// (sim.wall_ns), reference throughput (sim.refs_per_sec), and reference
-// count (sim.refs, via the CPU) on it; the pipeline mode additionally
-// records its ring metrics. None of it alters the reference stream.
+// (sim.wall_ns), reference throughput (sim.refs_per_sec), reference
+// count (sim.refs, via the CPU) and, on the pipelined path, its ring
+// metrics on it. None of it alters the reference stream.
 func (c Config) simulate(m machine.Machine, fn runner) SimResult {
 	h := cache.MustNewHierarchy(m.Caches, nil)
 	var rec trace.Recorder = h
 	var pipe *trace.Pipeline
 	track := c.Obs.AcquireTrack()
-	if c.Mode == ModePipelined {
+	if c.Mode != ModeSerial {
 		pipe = trace.NewPipeline(h, 0, 0).Observe(c.Obs, track)
 		if c.Context != nil {
 			pipe.WithContext(c.Context)
@@ -227,7 +240,7 @@ func (c Config) simulate(m machine.Machine, fn runner) SimResult {
 		// error instead of a completed-but-meaningless result.
 		cpu.WithCancel(c.Context)
 	}
-	if c.Mode != ModeSerial {
+	if pipe != nil {
 		cpu.Buffer(0)
 	}
 	as := vm.NewAddressSpace()

@@ -107,17 +107,29 @@ func TestRunJobCancelledBeforeStart(t *testing.T) {
 	}
 }
 
-// TestRunJobCancelLatency is the satellite-2 regression: cancellation
-// must interrupt a job mid-run — not merely stop new jobs — within a
-// bounded latency, on every mode. Before the CPU/pipeline cancellation
-// hooks, this test hangs until the full simulation completes (tens of
-// seconds at this geometry).
+// TestRunJobCancelLatency pins mid-run cancellation: it must interrupt
+// a job mid-run — not merely stop new jobs — within a bounded latency, on
+// the serial oracle and on both hand-offs of the default path: inline
+// (GOMAXPROCS=1) and ring (GOMAXPROCS=2). Before the CPU/pipeline
+// cancellation hooks, this test hangs until the full simulation completes
+// (tens of seconds at this geometry).
 func TestRunJobCancelLatency(t *testing.T) {
-	for _, mode := range []Mode{ModeBatched, ModeSerial, ModePipelined} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, v := range []struct {
+		name  string
+		mode  Mode
+		procs int
+	}{
+		{"inline", ModePipelined, 1},
+		{"serial", ModeSerial, 0},
+		{"pipeline", ModePipelined, 2},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			if v.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(v.procs))
+			}
 			c := Scaled()
 			c.MatmulN = 512 // several hundred million references: minutes if not cancelled
-			c.Mode = mode
+			c.Mode = v.mode
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() {
 				time.Sleep(30 * time.Millisecond)

@@ -7,8 +7,9 @@ import (
 
 // StageResult is one pipeline stage's throughput measurement from SimBench.
 type StageResult struct {
-	// Stage names the reference-stream path measured: "serial", "batch",
-	// "pipeline", or "parallel" (batched mode with Config.Parallel workers).
+	// Stage names the reference-stream path measured: "serial",
+	// "pipeline" (the default path), or "parallel" (the default path with
+	// Config.Parallel workers).
 	Stage string `json:"stage"`
 	// Workers is the stage's concurrency: how many independent simulations
 	// run at once. The single-stream stages are 1; the parallel stage runs
@@ -45,16 +46,16 @@ func (c Config) simBenchJobs() []simJob {
 
 // SimBench measures end-to-end simulation throughput (references per
 // second, trace generation plus cache simulation) through each
-// reference-stream path: the per-reference serial path, the batched path,
-// the SPSC pipelined path, and the batched path with the experiment pool
-// running all workloads concurrently. Every stage runs the identical
+// reference-stream path: the per-reference serial oracle, the default
+// pipelined path, and the default path with the experiment pool running
+// all workloads concurrently. Every stage runs the identical
 // four-workload set and — by the exactness contract — observes the
 // identical reference stream, so the refs counts agree and only wall time
 // differs. Each stage runs reps times (minimum 1) and keeps the fastest
 // observation, the standard estimator for a deterministic workload on a
 // noisy host. The pipeline and parallel stages only pay off with spare
-// cores; on a single-CPU host they measure the coordination overhead
-// honestly.
+// cores: on a GOMAXPROCS=1 runtime the pipeline drains inline, and the
+// parallel stage measures the pool's coordination overhead honestly.
 func (c Config) SimBench(reps int, prog Progress) []StageResult {
 	if reps < 1 {
 		reps = 1
@@ -65,11 +66,10 @@ func (c Config) SimBench(reps int, prog Progress) []StageResult {
 		cfg     Config
 	}{
 		{"serial", 1, func() Config { d := c; d.Mode = ModeSerial; d.Parallel = 1; return d }()},
-		{"batch", 1, func() Config { d := c; d.Mode = ModeBatched; d.Parallel = 1; return d }()},
 		{"pipeline", 1, func() Config { d := c; d.Mode = ModePipelined; d.Parallel = 1; return d }()},
 		{"parallel", 0, func() Config {
 			d := c
-			d.Mode = ModeBatched
+			d.Mode = ModePipelined
 			if d.Parallel <= 1 {
 				d.Parallel = runtime.NumCPU()
 			}

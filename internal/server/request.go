@@ -29,8 +29,11 @@ type Request struct {
 	// Size selects the base geometry: "" (server default), "quick", or
 	// "scaled".
 	Size string `json:"size,omitempty"`
-	// Mode selects the reference-stream path: "" or "batch", "serial",
-	// "pipeline".
+	// Mode selects the reference-stream path (harness.ParseMode):
+	// "pipeline", the default path, or "serial", the per-reference
+	// equivalence oracle; "" keeps the server's configured mode. "batch"
+	// still validates and runs the default path, so older clients and
+	// journaled specs keep working.
 	Mode string `json:"mode,omitempty"`
 	// Geometry overrides (0 = the size's default), validated against the
 	// caps below.
@@ -106,10 +109,10 @@ func (r Request) validate() error {
 	default:
 		return fmt.Errorf("%w: unknown size %q (want quick or scaled)", ErrBadRequest, r.Size)
 	}
-	switch strings.ToLower(r.Mode) {
-	case "", "batch", "serial", "pipeline":
-	default:
-		return fmt.Errorf("%w: unknown mode %q", ErrBadRequest, r.Mode)
+	if r.Mode != "" {
+		if _, err := harness.ParseMode(r.Mode); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadRequest, err)
+		}
 	}
 	for _, d := range []struct {
 		name string
@@ -150,13 +153,10 @@ func (r Request) harnessConfig(base harness.Config) harness.Config {
 	case "scaled":
 		c = harness.Scaled()
 	}
-	switch strings.ToLower(r.Mode) {
-	case "batch":
-		c.Mode = harness.ModeBatched
-	case "serial":
-		c.Mode = harness.ModeSerial
-	case "pipeline":
-		c.Mode = harness.ModePipelined
+	// validate has rejected unknown names, so only "" fails here and
+	// keeps the base's mode.
+	if m, err := harness.ParseMode(r.Mode); err == nil {
+		c.Mode = m
 	}
 	if r.MatmulN > 0 {
 		c.MatmulN = r.MatmulN

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -145,6 +146,44 @@ func TestServeLifecycle(t *testing.T) {
 		if code, _, _ := postJob(t, ts, bad); code != http.StatusBadRequest {
 			t.Fatalf("%s: code %d, want 400", bad, code)
 		}
+	}
+}
+
+// TestModeAliasesRunDefaultPath pins job-spec compatibility: "batch"
+// names a path since folded into the default, so a spec carrying it must
+// still validate and run the default pipelined path. "", "batch" and
+// "pipeline" must give identical results.
+func TestModeAliasesRunDefaultPath(t *testing.T) {
+	s := testServer(t, Config{Workers: 1})
+	base := testHarness()
+	base.Mode = harness.ModeSerial
+	var want *Result
+	for _, mode := range []string{"", "batch", "pipeline"} {
+		req, err := DecodeRequest(strings.NewReader(`{"kind":"matmul","mode":"` + mode + `"}`))
+		if err != nil {
+			t.Fatalf("mode %q: %v", mode, err)
+		}
+		if mode != "" {
+			if got := req.harnessConfig(base).Mode; got != harness.ModePipelined {
+				t.Fatalf("mode %q maps to %v, want the pipelined default", mode, got)
+			}
+		}
+		st, err := s.Submit(req)
+		if err != nil {
+			t.Fatalf("mode %q: submit: %v", mode, err)
+		}
+		st, _ = s.Wait(st.ID, time.Minute)
+		if st.State != StateDone || st.Result == nil {
+			t.Fatalf("mode %q: %+v", mode, st)
+		}
+		if want == nil {
+			want = st.Result
+		} else if *st.Result != *want {
+			t.Errorf("mode %q result %+v, want %+v", mode, *st.Result, *want)
+		}
+	}
+	if _, err := DecodeRequest(strings.NewReader(`{"kind":"matmul","mode":"batched"}`)); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("unknown mode: err = %v, want ErrBadRequest", err)
 	}
 }
 

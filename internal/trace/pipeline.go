@@ -12,8 +12,12 @@ import (
 // DefaultPipelineDepth is the number of in-flight chunks a Pipeline's ring
 // holds before the producer blocks. Small on purpose: the bound keeps the
 // working set of buffered references cache-sized and throttles a fast
-// producer to the consumer's pace instead of ballooning memory.
-const DefaultPipelineDepth = 8
+// producer to the consumer's pace instead of ballooning memory. Two is
+// enough for one producer and one consumer to overlap. A pipeline fed by
+// Exchange circulates at most depth+2 chunk buffers (the ring, the one in
+// the producer's hand and the one being drained): 4 × 64 KiB of
+// references at the default depth and DefaultChunk.
+const DefaultPipelineDepth = 2
 
 // Pipeline decouples reference generation from reference consumption
 // inside one experiment: the producer (the traced workload) records into

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // pipeRefs builds a deterministic mixed-kind stream big enough to wrap
@@ -141,6 +142,57 @@ func withGOMAXPROCS(t *testing.T, n int, fn func()) {
 	old := runtime.GOMAXPROCS(n)
 	defer runtime.GOMAXPROCS(old)
 	fn()
+}
+
+// slowCounts is a consumer slower than any producer: it tallies each
+// batch after a short sleep, so the ring runs full.
+type slowCounts struct{ Counts }
+
+func (c *slowCounts) RecordBatch(refs []Ref) {
+	time.Sleep(20 * time.Microsecond)
+	c.Counts.RecordBatch(refs)
+}
+
+// A long Exchange stream through a default-depth pipeline circulates a
+// bounded set of chunk buffers. On the ring that is depth+2 — the ring
+// itself, the one in the producer's hand and the one being drained — and
+// with the default depth of 2 it is 4 × 64 KiB; the slow consumer keeps
+// the ring full, so a deeper default or a chunk dropped instead of
+// recycled shows up as more buffers. Inline, the producer gets its own
+// buffer back every time and the pipeline allocates none.
+func TestPipelineExchangeBuffersBounded(t *testing.T) {
+	const chunks = 64
+	refs := pipeRefs(DefaultChunk)
+	for _, c := range []struct {
+		name    string
+		procs   int
+		buffers int
+	}{
+		{"inline", 1, 1},
+		{"ring", 2, 4},
+	} {
+		withGOMAXPROCS(t, c.procs, func() {
+			var got slowCounts
+			p := NewPipeline(&got, 0, 0)
+			seen := map[*Ref]bool{}
+			buf := make([]Ref, 0, DefaultChunk)
+			for i := 0; i < chunks; i++ {
+				buf = append(buf, refs...)
+				seen[&buf[0]] = true
+				buf = p.Exchange(buf)
+			}
+			if err := p.Close(); err != nil {
+				t.Fatalf("%s: close: %v", c.name, err)
+			}
+			if got.Total() != chunks*DefaultChunk {
+				t.Fatalf("%s: delivered %d refs, want %d", c.name, got.Total(), chunks*DefaultChunk)
+			}
+			if len(seen) > c.buffers {
+				t.Errorf("%s: producer filled %d distinct buffers over %d chunks, want at most %d",
+					c.name, len(seen), chunks, c.buffers)
+			}
+		})
+	}
 }
 
 // Mode selection: default depth on a single-processor runtime drains

@@ -38,11 +38,15 @@ func (k Kind) String() string {
 	}
 }
 
-// Ref is a single memory reference: a kind, a virtual byte address, and the
-// access size in bytes.
+// Ref is a single memory reference: a virtual byte address, a kind, and
+// the access size in bytes. Addr comes first so the two one-byte fields
+// share its trailing padding: the record is 16 bytes, not the 24 that a
+// leading Kind (padded out to Addr's 8-byte alignment) would cost. Every
+// CPU buffer, pipeline chunk and decoded batch is a []Ref, so the field
+// order sets how much memory a reference stream holds in flight.
 type Ref struct {
-	Kind Kind
 	Addr uint64
+	Kind Kind
 	Size uint8
 }
 
@@ -98,7 +102,7 @@ func Exchange(rec Recorder, buf []Ref) []Ref {
 }
 
 // DefaultChunk is the reference-buffer size used by batching producers
-// (sim.CPU, Pipeline). 4096 24-byte records is ~96 KiB — large enough to
+// (sim.CPU, Pipeline). 4096 16-byte records is 64 KiB — large enough to
 // amortize dispatch, small enough to stay cache-resident.
 const DefaultChunk = 4096
 

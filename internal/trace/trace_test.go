@@ -3,7 +3,20 @@ package trace
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// Ref's field order is part of its memory contract. With Addr first, Kind
+// and Size share Addr's trailing padding and a record is 16 bytes; with
+// Kind first, the compiler pads it out to Addr's 8-byte alignment and the
+// record grows to 24. Every CPU buffer, pipeline chunk and decoded batch
+// is a []Ref, so a reordered struct would add half again to the memory a
+// reference stream holds in flight.
+func TestRefIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Ref{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Ref{}) = %d, want 16: keep Addr ahead of the one-byte fields", got)
+	}
+}
 
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{IFetch: "ifetch", Load: "load", Store: "store", Kind(9): "Kind(9)"}
