@@ -9,36 +9,39 @@
 //	tracesim [-machine r8000|r10000] [-scale N] [-tlb entries]
 //	         [-l1i size,line,assoc] [-l1d size,line,assoc] [-l2 size,line,assoc]
 //	         [-pagesize N -placement identity|sequential|random|coloring]
-//	         [-mode batch|serial] [-shard N] [-slices N] [-parallel N]
+//	         [-mode batch|serial] [-slices N] [-parallel N]
 //	         [-metrics metrics.json] [-timeline timeline.json]
 //	         trace-file... (or - for stdin)
 //
 // Multiple trace files replay through independent hierarchies built from
 // the same configuration; -parallel N replays up to N of them
 // concurrently. Reports print in argument order regardless of
-// parallelism, and both -mode paths produce identical counters (the
-// batch path decodes and presents references in chunks, saving one
-// interface dispatch per reference).
+// parallelism, and both -mode paths produce identical counters.
 //
-// In batch mode, file inputs are preloaded and decoded through the
-// sharded zero-copy reader across -shard workers (default GOMAXPROCS;
-// -shard 1 restores the streaming serial decoder). The hierarchy still
-// observes references in exact file order — sharding overlaps the
-// decode, not the simulation — so counters stay bit-identical at any
-// worker count. Stdin input always streams.
+// The default batch mode streams every input, file or stdin: the
+// replaying goroutine decodes chunks with trace.Reader and hands them to
+// a trace.Pipeline, whose goroutine drives the cache hierarchy, so decode
+// overlaps simulation while the hierarchy still observes exact file
+// order. Memory stays bounded by the pipeline's ring and the reader's
+// buffer whatever the trace size; on a single-processor runtime the
+// pipeline drains inline. -mode serial records one reference at a time on
+// one goroutine: it is the oracle the batch path is checked against.
 //
 // -slices N additionally parallelizes the simulation itself: references
 // are routed by address class (set-index bits common to every cache
 // level) to N independent cache-hierarchy shards that simulate
 // concurrently, and the merged counters are provably bit-identical to
 // the serial replay (each set's state depends only on its own reference
-// subsequence, which slicing preserves in order). Slicing requires batch
-// mode on file inputs and is incompatible with -pagesize and -tlb
+// subsequence, which slicing preserves in order). Slicing preloads the
+// file and decodes it across GOMAXPROCS workers, so it requires batch
+// mode on file inputs; it is incompatible with -pagesize and -tlb
 // (translation and a global TLB couple state across slices); it disables
 // L2 miss classification (a global shadow stack) with a warning.
 //
 // -metrics writes a JSON snapshot counting each replay's references
-// (tracesim.refs, one track per input file) and replay wall times;
+// (tracesim.refs, one track per input file), replay wall times and, on
+// the batch path, the pipeline's chunks, stalls, ring depth and drain
+// times (pipe.*, producer metrics on the input's track);
 // -timeline writes a Chrome trace_event JSON with one span per input,
 // named after it, for eyeballing how -parallel replays overlapped.
 //
@@ -87,8 +90,7 @@ func main() {
 	pageSize := flag.Uint64("pagesize", 0, "simulate a physically indexed L2 with this page size")
 	tlbEntries := flag.Int("tlb", 0, "simulate a fully-associative data TLB with this many entries")
 	placement := flag.String("placement", "identity", "page placement: identity, sequential, random, coloring")
-	mode := flag.String("mode", "batch", "replay path: batch (chunked decode) or serial (both bit-identical)")
-	shard := flag.Int("shard", 0, "with -mode batch: preload file inputs and decode across N workers (0 = GOMAXPROCS, 1 = streaming serial decode)")
+	mode := flag.String("mode", "batch", "replay path: batch (streamed decode overlapping simulation) or serial (per-reference oracle; both bit-identical)")
 	slices := flag.Int("slices", 1, "with -mode batch: simulate across N address-sliced cache shards (merged counters bit-identical to serial; disables classification, excludes -pagesize/-tlb)")
 	parallel := flag.Int("parallel", 1, "replay up to N trace files concurrently")
 	metricsOut := flag.String("metrics", "", "write per-input reference counts and replay times (JSON) to this file")
@@ -199,10 +201,17 @@ func main() {
 
 	names := flag.Args()
 	var o *obs.Obs
+	tracks := make([]int, len(names))
 	if *metricsOut != "" || *timelineOut != "" {
-		o = obs.New(len(names))
+		// Two tracks per input: its own, acquired here in argument order
+		// (so input i records on track i), and its pipeline's drain lane,
+		// acquired when the replay starts.
+		o = obs.New(2 * len(names))
 		if *timelineOut != "" {
 			o.WithTimeline()
+		}
+		for i := range tracks {
+			tracks[i] = o.AcquireTrack()
 		}
 	}
 	outs := make([]bytes.Buffer, len(names))
@@ -229,7 +238,7 @@ func main() {
 			if errs[i] = ctx.Err(); errs[i] != nil {
 				return
 			}
-			errs[i] = replay(ctx, &outs[i], name, len(names) > 1, batch, *shard, *slices, *tlbEntries, newSetup, o, i)
+			errs[i] = replay(ctx, &outs[i], name, len(names) > 1, batch, *slices, *tlbEntries, newSetup, o, tracks[i])
 		}(i, name)
 	}
 	wg.Wait()
@@ -270,9 +279,9 @@ func writeFileWith(path string, write func(io.Writer) error) error {
 // replay decodes one trace through a fresh hierarchy and writes its report
 // to w. Output is buffered per input so -parallel replays print in
 // argument order. With o attached, the replay records its reference count
-// and wall time on its own track and a timeline span named after the
-// input.
-func replay(ctx context.Context, w io.Writer, name string, labeled, batch bool, shard, slices, tlbEntries int, newSetup func() (*simSetup, error), o *obs.Obs, track int) error {
+// and wall time on its own track, its pipeline's metrics alongside, and a
+// timeline span named after the input.
+func replay(ctx context.Context, w io.Writer, name string, labeled, batch bool, slices, tlbEntries int, newSetup func() (*simSetup, error), o *obs.Obs, track int) error {
 	s, err := newSetup()
 	if err != nil {
 		return err
@@ -295,37 +304,13 @@ func replay(ctx context.Context, w io.Writer, name string, labeled, batch bool, 
 		if err != nil {
 			return err
 		}
-		if err := sh.Replay(mf, shard); err != nil {
+		if err := sh.Replay(mf, 0); err != nil {
 			return fmt.Errorf("reading trace: %w", err)
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		s.h = sh.Merged()
-		return finishReplay(w, s, name, labeled, tlbEntries, o, track, start, sp)
-	}
-	// The batch path on a file input preloads the trace and fans the
-	// decode across shard workers (the hierarchy still observes file
-	// order; v1 traces fall back to serial decode inside MemFile). Stdin
-	// and serial mode keep the streaming reader.
-	if batch && name != "-" && shard != 1 {
-		mf, err := trace.LoadFile(name)
-		if err != nil {
-			return fmt.Errorf("reading trace: %w", err)
-		}
-		err = mf.ForEachBatch(shard, func(refs []trace.Ref) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			s.h.RecordBatch(refs)
-			return nil
-		})
-		if err != nil {
-			if err == ctx.Err() {
-				return err
-			}
-			return fmt.Errorf("reading trace: %w", err)
-		}
 		return finishReplay(w, s, name, labeled, tlbEntries, o, track, start, sp)
 	}
 	var in io.Reader
@@ -341,13 +326,20 @@ func replay(ctx context.Context, w io.Writer, name string, labeled, batch bool, 
 	}
 	r := trace.NewReader(in)
 	if batch {
+		// Decode on this goroutine, simulate on the pipeline's. Close
+		// runs on every path: it releases the consumer goroutine, and on
+		// success it is what makes the hierarchy's counters complete.
+		pipe := trace.NewPipeline(s.h, 0, 0).WithContext(ctx).Observe(o, track)
 		err = r.ForEachBatch(0, func(refs []trace.Ref) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			s.h.RecordBatch(refs)
+			pipe.RecordBatch(refs)
 			return nil
 		})
+		if cerr := pipe.Close(); err == nil {
+			err = cerr
+		}
 	} else {
 		n := 0
 		err = r.ForEach(func(ref trace.Ref) error {
@@ -370,8 +362,8 @@ func replay(ctx context.Context, w io.Writer, name string, labeled, batch bool, 
 }
 
 // finishReplay closes a successful replay's timeline span, records its
-// metrics, and writes its report — shared by the streaming and sharded
-// decode paths.
+// metrics, and writes its report — shared by the streaming and sliced
+// replay paths.
 func finishReplay(w io.Writer, s *simSetup, name string, labeled bool, tlbEntries int, o *obs.Obs, track int, start time.Time, sp obs.Span) error {
 	sp.End()
 	if o.Enabled() {

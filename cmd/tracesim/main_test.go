@@ -3,13 +3,17 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"threadsched/internal/cache"
 	"threadsched/internal/machine"
+	"threadsched/internal/obs"
 	"threadsched/internal/trace"
 )
 
@@ -41,17 +45,18 @@ func TestParseCacheWhitespace(t *testing.T) {
 	}
 }
 
-// Batch and serial replays of one trace must render byte-identical
-// reports, and multi-file runs label each report.
-func TestReplayBatchSerialIdentical(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.trace")
+// writeTrace writes n pseudo-random references over a 4 MiB address range
+// to a trace file under dir and returns its path.
+func writeTrace(t *testing.T, dir string, n int) string {
+	t.Helper()
+	path := filepath.Join(dir, "t.trace")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := trace.NewWriter(f)
 	rng := uint64(7)
-	for i := 0; i < 20000; i++ {
+	for i := 0; i < n; i++ {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		k := trace.Kind(rng >> 62 % 3)
 		w.Record(trace.Ref{Kind: k, Addr: (rng >> 20) % (1 << 22), Size: 8})
@@ -59,30 +64,67 @@ func TestReplayBatchSerialIdentical(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
 
+// setupFor returns a newSetup that builds each replay a fresh hierarchy
+// on cfg.
+func setupFor(cfg cache.HierarchyConfig) func() (*simSetup, error) {
+	return func() (*simSetup, error) {
+		return &simSetup{h: cache.MustNewHierarchy(cfg, nil), cfg: cfg}, nil
+	}
+}
+
+// Batch and serial replays of one trace must render byte-identical
+// reports, and multi-file runs label each report.
+func TestReplayBatchSerialIdentical(t *testing.T) {
+	path := writeTrace(t, t.TempDir(), 20000)
 	m := machine.R8000().Scaled(64)
-	setup := func() (*simSetup, error) {
-		return &simSetup{h: cache.MustNewHierarchy(m.Caches, nil), cfg: m.Caches}, nil
-	}
-	var serial, batch, sharded bytes.Buffer
-	if err := replay(context.Background(), &serial, path, false, false, 1, 1, 0, setup, nil, 0); err != nil {
+	setup := setupFor(m.Caches)
+	var serial bytes.Buffer
+	if err := replay(context.Background(), &serial, path, false, false, 1, 0, setup, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := replay(context.Background(), &batch, path, false, true, 1, 1, 0, setup, nil, 0); err != nil {
+	// GOMAXPROCS=1 drains the pipeline inline; 2 runs its consumer
+	// goroutine.
+	for _, procs := range []int{1, 2} {
+		var batch bytes.Buffer
+		prev := runtime.GOMAXPROCS(procs)
+		err := replay(context.Background(), &batch, path, false, true, 1, 0, setup, nil, 0)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial.String() != batch.String() {
+			t.Errorf("GOMAXPROCS=%d: batch replay diverges from serial:\nserial:\n%s\nbatch:\n%s", procs, serial.String(), batch.String())
+		}
+	}
+
+	// -metrics attaches the pipeline to the input's track: its chunks
+	// are counted next to tracesim.refs, and the report does not change.
+	o := obs.New(2)
+	track := o.AcquireTrack()
+	var observed bytes.Buffer
+	if err := replay(context.Background(), &observed, path, false, true, 1, 0, setup, o, track); err != nil {
 		t.Fatal(err)
 	}
-	if serial.String() != batch.String() {
-		t.Errorf("batch replay diverges from serial:\nserial:\n%s\nbatch:\n%s", serial.String(), batch.String())
+	if observed.String() != serial.String() {
+		t.Errorf("observed batch replay diverges from serial:\n%s", observed.String())
 	}
-	if err := replay(context.Background(), &sharded, path, false, true, 4, 1, 0, setup, nil, 0); err != nil {
-		t.Fatal(err)
+	counters := map[string]uint64{}
+	for _, c := range o.Snapshot().Counters {
+		counters[c.Name] = c.PerTrack[track]
 	}
-	if serial.String() != sharded.String() {
-		t.Errorf("sharded replay diverges from serial:\nserial:\n%s\nsharded:\n%s", serial.String(), sharded.String())
+	if counters["tracesim.refs"] != 20000 || counters["pipe.chunks"] == 0 {
+		t.Errorf("track %d: tracesim.refs %d (want 20000), pipe.chunks %d (want > 0)",
+			track, counters["tracesim.refs"], counters["pipe.chunks"])
 	}
+
 	var labeled bytes.Buffer
-	if err := replay(context.Background(), &labeled, path, true, true, 0, 1, 0, setup, nil, 0); err != nil {
+	if err := replay(context.Background(), &labeled, path, true, true, 1, 0, setup, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(labeled.String(), "== "+path+" ==\n") {
@@ -93,18 +135,129 @@ func TestReplayBatchSerialIdentical(t *testing.T) {
 	// serial replay on the same (declassified) configuration.
 	dcfg := m.Caches
 	dcfg.L2.Classify = false
-	dsetup := func() (*simSetup, error) {
-		return &simSetup{h: cache.MustNewHierarchy(dcfg, nil), cfg: dcfg}, nil
-	}
+	dsetup := setupFor(dcfg)
 	var dserial, sliced bytes.Buffer
-	if err := replay(context.Background(), &dserial, path, false, true, 1, 1, 0, dsetup, nil, 0); err != nil {
+	if err := replay(context.Background(), &dserial, path, false, false, 1, 0, dsetup, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := replay(context.Background(), &sliced, path, false, true, 2, 2, 0, dsetup, nil, 0); err != nil {
+	if err := replay(context.Background(), &sliced, path, false, true, 2, 0, dsetup, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if dserial.String() != sliced.String() {
 		t.Errorf("sliced replay diverges from serial:\nserial:\n%s\nsliced:\n%s", dserial.String(), sliced.String())
+	}
+}
+
+// The default path streams: replaying a 4M-reference (~23 MB) trace
+// allocates only the
+// reader's and the pipeline's fixed buffers, never the file image.
+func TestReplayMemoryIndependentOfTraceSize(t *testing.T) {
+	path := writeTrace(t, t.TempDir(), 4<<20)
+	setup := setupFor(machine.R8000().Scaled(64).Caches)
+	var before, after runtime.MemStats
+	var out bytes.Buffer
+	runtime.ReadMemStats(&before)
+	err := replay(context.Background(), &out, path, false, true, 1, 0, setup, nil, 0)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "references: total 4194304 ") {
+		t.Fatalf("report:\n%s", out.String())
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 2<<20 {
+		t.Errorf("replay allocated %d bytes, want < %d (is the trace preloaded?)", grew, 2<<20)
+	}
+}
+
+// A damaged trace fails the default path with the same typed error as
+// the serial oracle, and no report is written.
+func TestReplayDamagedTrace(t *testing.T) {
+	dir := t.TempDir()
+	path := writeTrace(t, dir, 20000)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(data)
+	flipped[len(flipped)/2] ^= 0x40
+	setup := setupFor(machine.R8000().Scaled(64).Caches)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"truncated", data[:len(data)/2], trace.ErrTruncated},
+		{"flipped", flipped, trace.ErrCorrupt},
+	} {
+		damaged := filepath.Join(dir, tc.name+".trace")
+		if err := os.WriteFile(damaged, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, batch := range []bool{false, true} {
+			var out bytes.Buffer
+			err := replay(context.Background(), &out, damaged, false, batch, 1, 0, setup, nil, 0)
+			if !errors.Is(err, tc.want) {
+				t.Errorf("%s, batch=%v: got %v, want %v", tc.name, batch, err, tc.want)
+			}
+			if out.Len() != 0 {
+				t.Errorf("%s, batch=%v: damaged replay wrote a report:\n%s", tc.name, batch, out.String())
+			}
+		}
+	}
+}
+
+// Cancelling a streamed stdin replay mid-trace returns context.Canceled
+// and releases the pipeline's consumer goroutine.
+func TestReplayCancelledReleasesPipeline(t *testing.T) {
+	data, err := os.ReadFile(writeTrace(t, t.TempDir(), 1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	stdin := os.Stdin
+	os.Stdin = pr
+	defer func() { os.Stdin = stdin }()
+
+	// Two processors, so the pipeline runs a consumer goroutine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	setup := setupFor(machine.R8000().Scaled(64).Caches)
+	done := make(chan error, 1)
+	go func() {
+		var out bytes.Buffer
+		done <- replay(ctx, &out, "-", false, true, 1, 0, setup, nil, 0)
+	}()
+	// The pipe holds far less than a quarter of the trace, so this
+	// write returns only once the replay is well under way.
+	half := len(data) / 2
+	if _, err := pw.Write(data[:half]); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		pw.Write(data[half:]) // fails once the reader end is closed
+		pw.Close()
+	}()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled replay returned %v, want context.Canceled", err)
+	}
+	pr.Close()
+	<-wrote
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after the cancelled replay, %d before", n, base)
 	}
 }
 
