@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"testing"
-
-	"threadsched/internal/trace"
-)
+import "testing"
 
 // benchConfig is an R8000-like 4-way L2 at reduced capacity, the shape the
 // experiments hammer hardest.
@@ -50,46 +46,4 @@ func BenchmarkCacheAccess(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkHierarchyRecord measures the full per-reference pipeline cost:
-// one data reference presented to the two-level hierarchy, per-ref
-// interface path versus the batched path.
-func BenchmarkHierarchyRecord(b *testing.B) {
-	cfg := HierarchyConfig{
-		L1I: Config{Name: "L1I", Size: 1 << 14, LineSize: 32, Assoc: 1},
-		L1D: Config{Name: "L1D", Size: 1 << 14, LineSize: 32, Assoc: 1},
-		L2:  Config{Name: "L2", Size: 1 << 17, LineSize: 128, Assoc: 4, Classify: true},
-	}
-	addrs := benchAddrs(1 << 16)
-	refs := make([]trace.Ref, len(addrs))
-	for i, a := range addrs {
-		k := trace.Load
-		if i%4 == 3 {
-			k = trace.Store
-		}
-		refs[i] = trace.Ref{Kind: k, Addr: a, Size: 8}
-	}
-	b.Run("record", func(b *testing.B) {
-		h := MustNewHierarchy(cfg, nil)
-		var rec trace.Recorder = h
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rec.Record(refs[i&(len(refs)-1)])
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		h := MustNewHierarchy(cfg, nil)
-		var rec trace.Recorder = h
-		b.ReportAllocs()
-		b.ResetTimer()
-		for done := 0; done < b.N; done += trace.DefaultChunk {
-			n := trace.DefaultChunk
-			if b.N-done < n {
-				n = b.N - done
-			}
-			trace.RecordBatch(rec, refs[:n])
-		}
-	})
 }

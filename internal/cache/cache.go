@@ -88,7 +88,8 @@ func (c Config) Validate() error {
 
 // Stats accumulates access and miss counts for one cache.
 type Stats struct {
-	// Accesses is the number of line-granular accesses presented.
+	// Accesses is the number of line-granular accesses presented
+	// (Reads + Writes; Cache.Stats derives it).
 	Accesses uint64
 	// Reads and Writes split Accesses by direction (instruction fetches
 	// count as reads).
@@ -125,10 +126,13 @@ func (s *Stats) Add(other Stats) {
 	s.Prefetches += other.Prefetches
 }
 
-// line state within a set; order within the set slice encodes recency
-// (index 0 is most recently used).
+// line is one way of a set. Within a set, ways are ordered by recency
+// under LRU and by allocation age under FIFO (index 0 is the newest;
+// random replacement keeps no order), and under every policy the valid
+// ways form a prefix: allocation fills the first invalid way and
+// Invalidate closes the hole it leaves.
 type line struct {
-	tag   uint64
+	ln    uint64 // line number (address >> log2(LineSize))
 	valid bool
 	dirty bool
 }
@@ -137,24 +141,17 @@ type line struct {
 type Cache struct {
 	cfg       Config
 	lineShift uint
-	setShift  uint // log2(number of sets), hoisted off the access path
 	setMask   uint64
-	// lru and wbAlloc hoist the policy comparisons the access paths
-	// branch on, so the batch loop reads two booleans instead of
-	// re-deriving them from cfg per reference.
-	lru     bool
-	wbAlloc bool
-	sets    [][]line
-	stats   Stats
-
-	// lastLn is the line number of the most recent access, when that line
-	// is known to still be resident as the MRU entry of its set
-	// (lastValid). Consecutive references to one line — the dominant
-	// pattern in the dense kernels, where a 128-byte line serves 16
-	// sequential doubles — then hit without a set search, an LRU reorder,
-	// or a shadow-model touch, all of which are provably no-ops.
-	lastLn    uint64
-	lastValid bool
+	wayShift  uint // log2(ways); Validate makes every associativity a power of two
+	// The policy flags hoist the cfg comparisons the access path branches
+	// on, so a reference reads one boolean instead of re-deriving it.
+	lru      bool   // hits refresh recency
+	wbAlloc  bool   // write-back write-allocate: writes dirty their line
+	noAlloc  bool   // write-through no-allocate: write misses do not allocate
+	random   bool   // RandomRepl victim selection
+	nextLine bool   // tagged next-line prefetch on demand misses
+	lines    []line // every set's ways in one slab: set s is lines[s<<wayShift:][:ways]
+	stats    Stats
 
 	// classification state, nil unless cfg.Classify
 	shadow *lruTable
@@ -169,24 +166,21 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	nsets := cfg.Sets()
-	ways := cfg.Assoc
-	if ways <= 0 {
-		ways = int(cfg.Lines())
-	}
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*uint64(ways))
-	for i := range sets {
-		sets[i] = backing[uint64(i)*uint64(ways) : (uint64(i)+1)*uint64(ways)]
+	ways := uint64(cfg.Assoc)
+	if cfg.Assoc == 0 {
+		ways = cfg.Lines()
 	}
 	c := &Cache{
 		cfg:       cfg,
 		lineShift: uint(bits.TrailingZeros64(cfg.LineSize)),
-		setShift:  uint(bits.TrailingZeros64(nsets)),
-		setMask:   nsets - 1,
+		setMask:   cfg.Sets() - 1,
+		wayShift:  uint(bits.TrailingZeros64(ways)),
 		lru:       cfg.Repl == LRU,
 		wbAlloc:   cfg.Write == WriteBackAllocate,
-		sets:      sets,
+		noAlloc:   cfg.Write == WriteThroughNoAllocate,
+		random:    cfg.Repl == RandomRepl,
+		nextLine:  cfg.Prefetch,
+		lines:     make([]line, cfg.Lines()),
 	}
 	if cfg.Classify {
 		c.shadow = newLRUTable(int(cfg.Lines()))
@@ -208,8 +202,13 @@ func MustNew(cfg Config) *Cache {
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Stats returns a copy of the current counters.
-func (c *Cache) Stats() Stats { return c.stats }
+// Stats returns a copy of the current counters. Accesses is derived
+// rather than counted: every access is a read or a write.
+func (c *Cache) Stats() Stats {
+	s := c.stats
+	s.Accesses = s.Reads + s.Writes
+	return s
+}
 
 // LineOf returns the line number containing byte address addr.
 func (c *Cache) LineOf(addr uint64) uint64 { return addr >> c.lineShift }
@@ -217,75 +216,73 @@ func (c *Cache) LineOf(addr uint64) uint64 { return addr >> c.lineShift }
 // Access presents one line-granular access (the address may be any byte in
 // the line). It returns true on a hit. On a miss the line is allocated
 // (write-allocate), possibly evicting the LRU line of the set.
-func (c *Cache) Access(addr uint64, write bool) bool {
+func (c *Cache) Access(addr uint64, write bool) bool { return c.access(addr>>c.lineShift, write) }
+
+// AccessRead is Access for a read (or instruction fetch).
+func (c *Cache) AccessRead(addr uint64) bool { return c.access(addr>>c.lineShift, false) }
+
+// AccessWrite is Access for a write.
+func (c *Cache) AccessWrite(addr uint64) bool { return c.access(addr>>c.lineShift, true) }
+
+// set returns the ways of the set line ln maps to.
+func (c *Cache) set(ln uint64) []line {
+	base := (ln & c.setMask) << c.wayShift
+	return c.lines[base : base+1<<c.wayShift]
+}
+
+// access is the one per-access core behind every entry point: the MRU-way
+// test, then, if that does not resolve the access, the full lookup.
+func (c *Cache) access(ln uint64, write bool) bool {
+	return c.mruHit(ln, write) || c.lookup(ln, write)
+}
+
+// mruHit resolves an access that hits way 0 of its set, reporting false
+// (having changed nothing) for every other access. Such a hit changes
+// nothing but the read/write counters and the dirty bit under every
+// policy — LRU would move way 0 to way 0, and FIFO and random never
+// reorder on a hit — so it needs no set search. A classified cache must
+// also leave its shadow fully-associative model unchanged, which holds
+// only when ln is already the shadow's most recent line. mruHit is small
+// enough to inline, so the hierarchy's reference loop resolves these
+// hits without a call.
+func (c *Cache) mruHit(ln uint64, write bool) bool {
+	w := &c.lines[(ln&c.setMask)<<c.wayShift]
+	if !w.valid || w.ln != ln || c.shadow != nil && !c.shadow.isHead(ln) {
+		return false
+	}
 	if write {
-		return c.AccessWrite(addr)
+		c.stats.Writes++
+		// Lines are dirty only under write-back; write-through never sets it.
+		w.dirty = c.wbAlloc
+	} else {
+		c.stats.Reads++
 	}
-	return c.AccessRead(addr)
+	return true
 }
 
-// AccessRead is Access specialized for reads (and instruction fetches):
-// no dirty-bit bookkeeping, one stats increment path, and a same-line
-// fast hit that skips the set search entirely.
-func (c *Cache) AccessRead(addr uint64) bool {
-	ln := addr >> c.lineShift
-	c.stats.Accesses++
-	c.stats.Reads++
-	if c.lastValid && ln == c.lastLn {
-		// The line is resident and already the MRU entry of its set, so
-		// recency refresh, shadow touch, and dirty update are all no-ops.
-		return true
-	}
-	return c.lookup(ln, false)
-}
-
-// AccessWrite is Access specialized for writes. The same-line fast path
-// is taken only under LRU, where the previous access is known to sit at
-// way 0 and the dirty bit can be set without a search.
-func (c *Cache) AccessWrite(addr uint64) bool {
-	ln := addr >> c.lineShift
-	c.stats.Accesses++
-	c.stats.Writes++
-	if c.lastValid && ln == c.lastLn && c.lru {
-		if c.wbAlloc {
-			c.sets[ln&c.setMask][0].dirty = true
-		}
-		return true
-	}
-	return c.lookup(ln, true)
-}
-
-// lookup is the shared slow path: shadow touch, set search, and miss
-// handling. It maintains the lastLn invariant: on return, lastValid
-// implies lastLn is resident as the MRU entry of its set.
+// lookup is the rest of access: shadow touch, a search of the whole set,
+// recency refresh and miss handling.
 func (c *Cache) lookup(ln uint64, write bool) bool {
+	if write {
+		c.stats.Writes++
+	} else {
+		c.stats.Reads++
+	}
 	shadowHit := true
 	if c.shadow != nil {
 		shadowHit = c.shadow.touch(ln)
 	}
-
-	set := c.sets[ln&c.setMask]
-	tag := ln >> c.setShift
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			// Hit. Under LRU, refresh to the MRU position; FIFO and
-			// random replacement leave residency order alone.
-			dirty := write && c.wbAlloc
-			if c.lru {
-				hit := set[i]
-				copy(set[1:i+1], set[:i])
-				hit.dirty = hit.dirty || dirty
-				set[0] = hit
-			} else if dirty {
-				set[i].dirty = true
-			}
-			// Under LRU the line is now the MRU entry of its set; under
-			// FIFO/random, hits never reorder, so residency alone makes
-			// a repeat access a no-op (the write fast path additionally
-			// requires LRU and does not fire here).
-			c.lastLn, c.lastValid = ln, true
-			return true
+	set := c.set(ln)
+	if i := find(set, ln); i >= 0 {
+		// Hit. Under LRU, refresh to the MRU position; FIFO and random
+		// replacement leave residency order alone.
+		dirty := set[i].dirty || write && c.wbAlloc
+		if c.lru {
+			shiftDown(set[:i+1])
+			i = 0
 		}
+		set[i] = line{ln: ln, valid: true, dirty: dirty}
+		return true
 	}
 
 	// Miss.
@@ -299,17 +296,13 @@ func (c *Cache) lookup(ln uint64, write bool) bool {
 			c.stats.Conflict++
 		}
 	}
-	if write && c.cfg.Write == WriteThroughNoAllocate {
+	if write && c.noAlloc {
 		// Write misses do not allocate; the write goes to the next level
-		// (the hierarchy routes it). Residency is unchanged, so the
-		// lastLn invariant still holds for the previous line.
+		// (the hierarchy routes it).
 		return false
 	}
-	c.allocate(ln, set, tag, write && c.wbAlloc)
-	c.lastLn, c.lastValid = ln, true
-	if c.cfg.Prefetch {
-		// Prefetch after publishing lastLn: if the prefetched line evicts
-		// it (a one-set cache), evictCheck clears the fast path again.
+	c.allocate(set, ln, write && c.wbAlloc)
+	if c.nextLine {
 		c.prefetch(ln + 1)
 	}
 	return false
@@ -317,83 +310,79 @@ func (c *Cache) lookup(ln uint64, write bool) bool {
 
 // prefetch installs line ln if absent, without touching demand counters.
 func (c *Cache) prefetch(ln uint64) {
-	set := c.sets[ln&c.setMask]
-	tag := ln >> c.setShift
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return
-		}
+	set := c.set(ln)
+	if find(set, ln) >= 0 {
+		return
 	}
 	c.stats.Prefetches++
-	c.allocate(ln, set, tag, false)
+	c.allocate(set, ln, false)
 }
 
-// allocate installs the line ln (whose set and tag are pre-computed) over
-// the policy-selected victim. If the victim is the fast-path line, the
-// fast path is disabled until the next slow-path access re-establishes it.
-func (c *Cache) allocate(ln uint64, set []line, tag uint64, dirty bool) {
-	if c.cfg.Repl == RandomRepl {
-		// Prefer an invalid way; otherwise evict a pseudo-random one.
-		idx := -1
-		for i := range set {
-			if !set[i].valid {
-				idx = i
-				break
-			}
+// allocate installs line ln in its set over the policy-selected victim.
+func (c *Cache) allocate(set []line, ln uint64, dirty bool) {
+	if c.random {
+		// Fill an invalid way (the valid ways form a prefix, so the first
+		// invalid way follows them); otherwise evict a pseudo-random one.
+		idx := 0
+		for idx < len(set) && set[idx].valid {
+			idx++
 		}
-		if idx < 0 {
+		if idx == len(set) {
 			c.rng = c.rng*6364136223846793005 + 1442695040888963407
 			idx = int((c.rng >> 33) % uint64(len(set)))
 		}
-		c.evictCheck(set[idx], ln)
-		set[idx] = line{tag: tag, valid: true, dirty: dirty}
+		c.evict(set[idx])
+		set[idx] = line{ln: ln, valid: true, dirty: dirty}
 		return
 	}
 	// LRU and FIFO both evict the tail and insert at the head; they
 	// differ only in whether hits refresh the order.
-	c.evictCheck(set[len(set)-1], ln)
-	copy(set[1:], set[:len(set)-1])
-	set[0] = line{tag: tag, valid: true, dirty: dirty}
+	c.evict(set[len(set)-1])
+	shiftDown(set)
+	set[0] = line{ln: ln, valid: true, dirty: dirty}
 }
 
-// evictCheck accounts a victim eviction: writeback if dirty, and fast-path
-// invalidation if the victim is the cached last-accessed line.
-func (c *Cache) evictCheck(victim line, ln uint64) {
-	if !victim.valid {
-		return
-	}
+// evict accounts a victim's eviction: a writeback if it is dirty (an
+// invalid way is never dirty).
+func (c *Cache) evict(victim line) {
 	if victim.dirty {
 		c.stats.Writebacks++
 	}
-	if victim.tag<<c.setShift|(ln&c.setMask) == c.lastLn {
-		c.lastValid = false
+}
+
+// shiftDown moves each way of ways one position toward the tail,
+// overwriting the last and leaving the first to be replaced. Sets are a
+// few ways long, where a plain loop beats copy's call to memmove.
+func shiftDown(ways []line) {
+	for i := len(ways) - 1; i > 0; i-- {
+		ways[i] = ways[i-1]
 	}
+}
+
+// find returns the index of the way holding line ln in set, or -1.
+func find(set []line, ln uint64) int {
+	for i := range set {
+		if set[i].valid && set[i].ln == ln {
+			return i
+		}
+	}
+	return -1
 }
 
 // Contains reports whether the line holding addr is currently resident.
 // It does not disturb LRU state; intended for tests and invariants.
 func (c *Cache) Contains(addr uint64) bool {
 	ln := addr >> c.lineShift
-	set := c.sets[ln&c.setMask]
-	tag := ln >> c.setShift
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
-		}
-	}
-	return false
+	return find(c.set(ln), ln) >= 0
 }
 
 // ResidentLines returns the set of line numbers currently cached; for
 // tests and invariants.
 func (c *Cache) ResidentLines() map[uint64]bool {
-	setBits := c.setShift
 	out := make(map[uint64]bool)
-	for si, set := range c.sets {
-		for _, l := range set {
-			if l.valid {
-				out[l.tag<<setBits|uint64(si)] = true
-			}
+	for _, l := range c.lines {
+		if l.valid {
+			out[l.ln] = true
 		}
 	}
 	return out
@@ -401,36 +390,28 @@ func (c *Cache) ResidentLines() map[uint64]bool {
 
 // Invalidate removes the line holding addr if resident, returning whether
 // it was present. Used by the SMP coherence model; invalidated dirty
-// lines count as writebacks (they would be flushed or transferred).
+// lines count as writebacks (they would be flushed or transferred). The
+// later ways shift up over the hole, which becomes the set's tail: the
+// valid lines keep their order, and the next allocation into the set
+// fills the hole instead of evicting a valid line.
 func (c *Cache) Invalidate(addr uint64) bool {
 	ln := addr >> c.lineShift
-	set := c.sets[ln&c.setMask]
-	tag := ln >> c.setShift
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			if set[i].dirty {
-				c.stats.Writebacks++
-			}
-			set[i] = line{}
-			if ln == c.lastLn {
-				c.lastValid = false
-			}
-			return true
-		}
+	set := c.set(ln)
+	i := find(set, ln)
+	if i < 0 {
+		return false
 	}
-	return false
+	c.evict(set[i])
+	copy(set[i:], set[i+1:])
+	set[len(set)-1] = line{}
+	return true
 }
 
 // Reset clears cache contents and counters, including classification
 // history (so the next touch of any line is compulsory again).
 func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = line{}
-		}
-	}
+	clear(c.lines)
 	c.stats = Stats{}
-	c.lastValid = false
 	if c.cfg.Classify {
 		c.shadow = newLRUTable(int(c.cfg.Lines()))
 		c.seen.init()

@@ -88,25 +88,33 @@ func (h *Hierarchy) AttachTLB(t *vm.TLB) { h.tlb = t }
 
 // Record implements trace.Recorder, presenting one reference to the
 // hierarchy. References spanning a line boundary access each covered line.
-func (h *Hierarchy) Record(r trace.Ref) { h.record1(r) }
+func (h *Hierarchy) Record(r trace.Ref) {
+	h.refs.ByKind[r.Kind]++
+	h.present(r)
+}
 
 // RecordBatch implements trace.BatchRecorder: the chunk is consumed in
 // order by the same per-reference core as Record, so the resulting
 // counters and cache state are bit-identical to the per-ref path — the
 // batch saves the interface dispatch and keeps the simulator's code and
 // branch history hot across the chunk instead of interleaving it with
-// the trace generator's.
+// the trace generator's. The kind tally is kept in a local for the
+// chunk; an out-of-range Kind panics on it before reaching any cache,
+// exactly as in Record.
 func (h *Hierarchy) RecordBatch(refs []trace.Ref) {
-	for i := range refs {
-		h.record1(refs[i])
+	byKind := h.refs.ByKind
+	for _, r := range refs {
+		byKind[r.Kind]++
+		h.present(r)
 	}
+	h.refs.ByKind = byKind
 }
 
-// record1 presents one reference to the hierarchy.
-func (h *Hierarchy) record1(r trace.Ref) {
-	h.refs.ByKind[r.Kind]++
-	l1 := h.l1d
-	write := false
+// present routes one reference to its first-level cache, line by line,
+// and sends each first-level miss (and, under write-through, each write)
+// on to the second level.
+func (h *Hierarchy) present(r trace.Ref) {
+	l1, write := h.l1d, false
 	switch r.Kind {
 	case trace.Store:
 		write = true
@@ -118,32 +126,32 @@ func (h *Hierarchy) record1(r trace.Ref) {
 	default: // IFetch: instruction cache, no data TLB.
 		l1 = h.l1i
 	}
-	size := uint64(r.Size)
-	if size == 0 {
-		size = 1
-	}
-	first := r.Addr >> l1.lineShift
-	last := (r.Addr + size - 1) >> l1.lineShift
-	if first == last {
-		// Single-line data reference: the overwhelmingly common case.
-		if write {
-			if !l1.AccessWrite(r.Addr) || l1.cfg.Write == WriteThroughNoAllocate {
-				h.accessL2(r.Addr, true)
-			}
-		} else if !l1.AccessRead(r.Addr) {
-			h.accessL2(r.Addr, false)
+	if lineSize := uint64(1) << l1.lineShift; r.Addr&(lineSize-1)+uint64(r.Size) <= lineSize {
+		// The reference lies in one line: the overwhelmingly common case.
+		// This is l1.access spelled out, so that mruHit inlines here.
+		ln := r.Addr >> l1.lineShift
+		if !(l1.mruHit(ln, write) || l1.lookup(ln, write)) || write && l1.noAlloc {
+			h.accessL2(r.Addr, write)
 		}
 		return
 	}
-	writeThrough := write && l1.cfg.Write == WriteThroughNoAllocate
-	for ln := first; ln <= last; ln++ {
-		addr := ln << l1.lineShift
-		if ln == first {
-			addr = r.Addr
-		}
-		if !l1.Access(addr, write) || writeThrough {
+	// The reference covers bytes [Addr, end]; a span past the top of the
+	// address space ends at its last line.
+	end := r.Addr + uint64(r.Size) - 1
+	if end < r.Addr {
+		end = ^uint64(0)
+	}
+	last := end >> l1.lineShift
+	addr := r.Addr
+	for ln := addr >> l1.lineShift; ; {
+		if !l1.access(ln, write) || write && l1.noAlloc {
 			h.accessL2(addr, write)
 		}
+		if ln == last {
+			return
+		}
+		ln++
+		addr = ln << l1.lineShift
 	}
 }
 

@@ -167,3 +167,60 @@ func TestMustNewHierarchyPanics(t *testing.T) {
 	}()
 	MustNewHierarchy(HierarchyConfig{}, nil)
 }
+
+// A reference that runs past the top of the address space still reaches
+// its caches: the span ends at the last line instead of wrapping.
+func TestHierarchyRefAtTopOfAddressSpace(t *testing.T) {
+	h := tinyHierarchy(t, nil)
+	h.Record(trace.Ref{Kind: trace.Load, Addr: 1<<64 - 4, Size: 8})
+	if refs := h.Refs(); refs.DataRefs() != 1 {
+		t.Fatalf("data refs = %d, want 1", refs.DataRefs())
+	}
+	if got := h.L1D().Stats().Accesses; got != 1 {
+		t.Errorf("L1D accesses = %d, want 1 (the last line)", got)
+	}
+	if got := h.L2().Stats().Accesses; got != 1 {
+		t.Errorf("L2 accesses = %d, want 1", got)
+	}
+	if !h.L1D().Contains(1<<64 - 1) {
+		t.Error("last line not resident in L1D")
+	}
+	// The same clamp holds on the batch path and for one-byte lines,
+	// where the last line number is 2^64-1 itself.
+	h1 := MustNewHierarchy(HierarchyConfig{
+		L1I: Config{Name: "L1I", Size: 16, LineSize: 1, Assoc: 2},
+		L1D: Config{Name: "L1D", Size: 16, LineSize: 1, Assoc: 2},
+		L2:  Config{Name: "L2", Size: 64, LineSize: 2, Assoc: 0},
+	}, nil)
+	h1.RecordBatch([]trace.Ref{{Kind: trace.Store, Addr: 1<<64 - 2, Size: 8}})
+	if got := h1.L1D().Stats().Writes; got != 2 {
+		t.Errorf("1-byte lines: L1D writes = %d, want 2", got)
+	}
+	if got := h1.L2().Stats().Accesses; got != 2 {
+		t.Errorf("1-byte lines: L2 accesses = %d, want 2", got)
+	}
+}
+
+// An out-of-range reference kind is a programming error: both entry
+// points panic on it before any cache sees the reference, rather than
+// tallying it as a load.
+func TestHierarchyBadKindPanics(t *testing.T) {
+	bad := trace.Ref{Kind: trace.Store + 1, Addr: 64, Size: 8}
+	for name, record := range map[string]func(h *Hierarchy){
+		"Record":      func(h *Hierarchy) { h.Record(bad) },
+		"RecordBatch": func(h *Hierarchy) { h.RecordBatch([]trace.Ref{bad}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			h := tinyHierarchy(t, nil)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic on an out-of-range kind")
+				}
+				if got := h.L1D().Stats().Accesses + h.L1I().Stats().Accesses; got != 0 {
+					t.Errorf("the bad reference reached L1: %d accesses", got)
+				}
+			}()
+			record(h)
+		})
+	}
+}

@@ -68,6 +68,12 @@ func (t *lruTable) touch(ln uint64) bool {
 	return false
 }
 
+// isHead reports whether ln is the most recently used line, the one line
+// whose touch changes nothing.
+func (t *lruTable) isHead(ln uint64) bool {
+	return t.head != nilNode && t.nodes[t.head].line == ln
+}
+
 // contains reports residency without touching recency; for tests.
 func (t *lruTable) contains(ln uint64) bool {
 	_, ok := t.index.get(ln)

@@ -116,9 +116,8 @@ func (s *SliceRouter) Slice(addr uint64) int {
 // granule is a multiple of every level's line size, so splitting there
 // preserves the exact per-line access sequence the serial simulator
 // performs — piece boundaries coincide with line boundaries at every
-// level. A reference whose address range wraps the address space is
-// tallied but emits nothing, matching the serial simulator (its line loop
-// is empty when first > last).
+// level. A reference whose address range wraps the address space ends
+// at its top byte, matching the serial simulator.
 func (s *SliceRouter) Scatter(refs []trace.Ref, tally *trace.Counts, emit func(slice int, r trace.Ref)) {
 	granule := uint64(1) << s.shift
 	for i := range refs {
@@ -130,7 +129,10 @@ func (s *SliceRouter) Scatter(refs []trace.Ref, tally *trace.Counts, emit func(s
 		}
 		end := r.Addr + size - 1
 		if end < r.Addr {
-			continue // address-space wrap: the serial line loop is empty
+			// As in the hierarchy, the span ends at the top of the
+			// address space.
+			end = ^uint64(0)
+			r.Size = uint8(end - r.Addr + 1)
 		}
 		if r.Addr>>s.shift == end>>s.shift {
 			emit(s.Slice(r.Addr), r)

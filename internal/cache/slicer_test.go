@@ -72,8 +72,9 @@ func TestSliceRouterRejectsCoupledState(t *testing.T) {
 
 // TestSliceRouterScatterSplit: spanning references split at the coarsest
 // set-index granule into contiguous pieces, each inside one granule
-// block; non-spanning references pass through untouched; wrapping
-// references are tallied but emit nothing.
+// block; non-spanning references pass through untouched; a reference
+// running past the top of the address space is clamped there, as the
+// serial hierarchy clamps it.
 func TestSliceRouterScatterSplit(t *testing.T) {
 	r, err := NewSliceRouter(sliceTestConfig(), 4)
 	if err != nil {
@@ -84,7 +85,7 @@ func TestSliceRouterScatterSplit(t *testing.T) {
 		{Kind: trace.Load, Addr: 0x1008, Size: 8},             // within one granule
 		{Kind: trace.Store, Addr: 2*granule - 4, Size: 8},     // spans a granule boundary
 		{Kind: trace.IFetch, Addr: 5*granule - 1, Size: 250},  // spans two boundaries
-		{Kind: trace.Load, Addr: math.MaxUint64 - 2, Size: 8}, // wraps: no accesses
+		{Kind: trace.Load, Addr: math.MaxUint64 - 2, Size: 8}, // wraps: ends at the top byte
 		{Kind: trace.Load, Addr: 0x40, Size: 0},               // zero size = one byte
 	}
 	var tally trace.Counts
@@ -140,10 +141,13 @@ func TestSliceRouterScatterSplit(t *testing.T) {
 	checkPieces(refs[0], got[0:1])
 	checkPieces(refs[1], got[1:3])
 	checkPieces(refs[2], got[3:6])
-	// refs[3] wraps: nothing emitted. refs[4] is the final single piece.
-	checkPieces(refs[4], got[6:])
-	if len(got) != 7 {
-		t.Fatalf("scatter emitted %d pieces, want 7", len(got))
+	// refs[3] wraps: one piece, its last three bytes clamped away.
+	top := trace.Ref{Kind: trace.Load, Addr: math.MaxUint64 - 2, Size: 3}
+	checkPieces(top, got[6:7])
+	// refs[4] is the final single piece.
+	checkPieces(refs[4], got[7:])
+	if len(got) != 8 {
+		t.Fatalf("scatter emitted %d pieces, want 8", len(got))
 	}
 }
 

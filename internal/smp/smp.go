@@ -136,14 +136,18 @@ func (r routerRecorder) Record(ref trace.Ref) {
 // L2-line granularity: a store removes the line from every other
 // processor's private caches.
 func (s *System) coherence(ref trace.Ref) {
-	size := uint64(ref.Size)
-	if size == 0 {
-		size = 1
+	// The reference covers [Addr, end], ending at the top of the address
+	// space if it would run past it, as the hierarchy's own span does.
+	end := ref.Addr
+	if ref.Size > 1 {
+		end += uint64(ref.Size) - 1
 	}
-	first := ref.Addr / s.l2Line
-	last := (ref.Addr + size - 1) / s.l2Line
+	if end < ref.Addr {
+		end = ^uint64(0)
+	}
+	first, last := ref.Addr/s.l2Line, end/s.l2Line
 	me := uint64(1) << uint(s.cur)
-	for ln := first; ln <= last; ln++ {
+	for ln := first; ; ln++ {
 		holders := s.dir[ln]
 		if ref.Kind == trace.Store && holders&^me != 0 {
 			s.stats.SharedWrites++
@@ -159,6 +163,9 @@ func (s *System) coherence(ref trace.Ref) {
 			holders &= me
 		}
 		s.dir[ln] = holders | me
+		if ln == last {
+			return
+		}
 	}
 }
 

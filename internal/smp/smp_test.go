@@ -62,28 +62,32 @@ func TestInstructionAttribution(t *testing.T) {
 }
 
 func TestCoherenceInvalidation(t *testing.T) {
-	s, _ := New(Config{Procs: 2, Machine: testMachine(), Coherence: true})
-	cpu := s.CPU()
-	// Proc 0 reads a line; proc 1 writes it: proc 0's copy must die.
-	cpu.Load(0x4000, 8)
-	if !s.Proc(0).Hier.L2().Contains(0x4000) {
-		t.Fatal("proc 0 did not cache the line")
-	}
-	s.Switch(1)
-	cpu.Store(0x4000, 8)
-	if s.Proc(0).Hier.L2().Contains(0x4000) {
-		t.Fatal("write did not invalidate the remote copy")
-	}
-	st := s.Stats()
-	if st.Invalidations != 1 || st.SharedWrites != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// Re-read on proc 0 misses again (coherence miss).
-	s.Switch(0)
-	before := s.Proc(0).Hier.L2().Stats().Misses
-	cpu.Load(0x4000, 8)
-	if after := s.Proc(0).Hier.L2().Stats().Misses; after != before+1 {
-		t.Fatal("re-read after invalidation did not miss")
+	// 1<<64-4 is a load running past the top of the address space: its
+	// span ends at the last line, for the caches and the directory alike.
+	for _, addr := range []uint64{0x4000, 1<<64 - 4} {
+		s, _ := New(Config{Procs: 2, Machine: testMachine(), Coherence: true})
+		cpu := s.CPU()
+		// Proc 0 reads a line; proc 1 writes it: proc 0's copy must die.
+		cpu.Load(addr, 8)
+		if !s.Proc(0).Hier.L2().Contains(addr) {
+			t.Fatalf("%#x: proc 0 did not cache the line", addr)
+		}
+		s.Switch(1)
+		cpu.Store(addr, 8)
+		if s.Proc(0).Hier.L2().Contains(addr) {
+			t.Fatalf("%#x: write did not invalidate the remote copy", addr)
+		}
+		st := s.Stats()
+		if st.Invalidations != 1 || st.SharedWrites != 1 {
+			t.Fatalf("%#x: stats = %+v", addr, st)
+		}
+		// Re-read on proc 0 misses again (coherence miss).
+		s.Switch(0)
+		before := s.Proc(0).Hier.L2().Stats().Misses
+		cpu.Load(addr, 8)
+		if after := s.Proc(0).Hier.L2().Stats().Misses; after != before+1 {
+			t.Fatalf("%#x: re-read after invalidation did not miss", addr)
+		}
 	}
 }
 
