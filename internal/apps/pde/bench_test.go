@@ -39,7 +39,7 @@ func BenchmarkCacheConscious(b *testing.B) {
 }
 
 // BenchmarkThreadedExact measures the dependence-exact variant through
-// the wavefront executor at 1/2/4 workers.
+// the parallel dataflow executor at 1/2/4 workers.
 func BenchmarkThreadedExact(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {

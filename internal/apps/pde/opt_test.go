@@ -30,7 +30,7 @@ func TestCacheConsciousMatchesRefBitwise(t *testing.T) {
 
 // TestThreadedExactMatchesRegular checks the dependence-exact variant
 // against the plain red-black relaxation, serial and through the
-// parallel wavefront executor at several worker counts.
+// parallel dataflow executor at several worker counts.
 func TestThreadedExactMatchesRegular(t *testing.T) {
 	scheds := map[string]*core.DepScheduler{
 		"serial": core.NewDep(core.Config{CacheSize: 1 << 15, BlockSize: 1 << 14}),
@@ -38,7 +38,7 @@ func TestThreadedExactMatchesRegular(t *testing.T) {
 		"w4":     ParallelScheduler(1<<15, 4),
 	}
 	for name, sched := range scheds {
-		for _, n := range []int{5, 17, 65} {
+		for _, n := range []int{3, 4, 5, 6, 17, 65} {
 			for _, iters := range []int{1, 3, 6} {
 				a := NewGrid(n)
 				b := a.Clone()

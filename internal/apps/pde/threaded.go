@@ -70,13 +70,16 @@ func ThreadedExact(g *Grid, iters int, sched *core.DepScheduler) error {
 }
 
 // ParallelScheduler is ThreadedScheduler's multicore counterpart for the
-// dependence-exact variant: the same binning plus the parallel wavefront
-// executor. Concurrently runnable threads of the PDE DAG are at least
-// three fused steps apart (thread (it₂,j₂) transitively requires
-// (it₁, j₂+2(it₂−it₁)) with it₁ < it₂, so a pending (it₁,j₁) has
-// j₁ ≥ j₂+3), which keeps each thread's written lines (j, j−1, residual
-// j−2) out of the other's window — the parallel run is race-free and
-// still bit-identical to Regular. Close it to release the worker pool.
+// dependence-exact variant: the same binning plus DepScheduler's parallel
+// dataflow executor. Threads of the PDE DAG that can run concurrently are
+// from different iterations and at least three fused steps apart: thread
+// (it₂,j₂) transitively requires (it₁, min(j₂+2(it₂−it₁), steps)) for
+// every it₁ < it₂ (for N ≥ 3), so when it is runnable an unfinished
+// (it₁,j₁) has j₁ ≥ j₂+3, and none is left once the step index reaches
+// the last step. That keeps each thread's written lines (j, j−1,
+// residual j−2) out of the other's window — the parallel run is
+// race-free and still bit-identical to Regular. Close it to release the
+// worker pool.
 func ParallelScheduler(l2Size uint64, workers int) *core.DepScheduler {
 	return core.NewDep(core.Config{CacheSize: l2Size, BlockSize: l2Size / 2, Workers: workers})
 }

@@ -23,14 +23,17 @@ func TestUntiledMatchesRefBitwise(t *testing.T) {
 }
 
 // TestThreadedExactParallelMatchesUntiled runs the dependence-exact
-// variant through the parallel wavefront executor: any schedule
+// variant through the parallel dataflow executor: any schedule
 // respecting the (it,j−1) and (it−1,j+1) dependences is bit-for-bit the
-// sequential sweep, at any worker count.
+// sequential sweep, at any worker count. n=3 and n=4 cover the right
+// boundary: with one interior column the (it−1,j) edge of the last
+// interior column is the only order between sweeps, and without it a
+// parallel run races on column 1.
 func TestThreadedExactParallelMatchesUntiled(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		sched := ParallelScheduler(1<<15, w)
-		for _, n := range []int{8, 33, 101} {
-			for _, iters := range []int{1, 4, 9} {
+		for _, n := range []int{3, 4, 8, 33, 101} {
+			for _, iters := range []int{1, 4, 9, 32} {
 				a := NewArray(n)
 				b := append([]float64(nil), a...)
 				Untiled(a, n, iters)

@@ -41,13 +41,15 @@ func ThreadedScheduler(l2Size uint64) *core.Scheduler {
 }
 
 // ParallelScheduler is ThreadedScheduler's multicore counterpart for the
-// dependence-exact variant: the same binning plus the parallel wavefront
-// executor. Concurrently runnable threads of the SOR DAG are at least two
-// columns apart (thread (it₂,j₂) transitively requires (it₁, j₂+(it₂−it₁))
-// with it₁ < it₂, so a pending (it₁,j₁) has j₁ ≥ j₂+2), which keeps each
-// thread's written column out of the other's three-column window — the
-// parallel run is race-free and still bit-identical to Untiled. Close it
-// to release the worker pool.
+// dependence-exact variant: the same binning plus DepScheduler's parallel
+// dataflow executor. Threads of the SOR DAG that can run concurrently are
+// from different sweeps and at least two columns apart: thread (it₂,j₂)
+// transitively requires (it₁, min(j₂+(it₂−it₁), n−2)) for every
+// it₁ < it₂, so when it is runnable an unfinished (it₁,j₁) has
+// j₁ ≥ j₂+2, and none is left once the column index reaches the last
+// interior column n−2. That keeps each thread's written column out of the
+// other's three-column window — the parallel run is race-free and still
+// bit-identical to Untiled. Close it to release the worker pool.
 func ParallelScheduler(l2Size uint64, workers int) *core.DepScheduler {
 	return core.NewDep(core.Config{CacheSize: l2Size, BlockSize: l2Size / 2, Workers: workers})
 }
@@ -56,10 +58,11 @@ func ParallelScheduler(l2Size uint64, workers int) *core.DepScheduler {
 // wavefront dependence constraints, using the dependence-aware scheduler
 // (the §6 extension): thread (it, j) runs after (it, j−1) — which also
 // protects the right neighbour's not-yet-updated value — and after
-// (it−1, j+1). Any schedule respecting these constraints computes exactly
-// the sequential sweep, so unlike Threaded this variant is bit-for-bit
-// equal to Untiled while still executing bin by bin where the wavefront
-// allows.
+// (it−1, j+1), or after (it−1, j) when j is the last interior column
+// (with a single interior column that edge alone orders the sweeps). Any
+// schedule respecting these constraints computes exactly the sequential
+// sweep, so unlike Threaded this variant is bit-for-bit equal to Untiled
+// while still executing bin by bin where the wavefront allows.
 func ThreadedExact(a []float64, n, t int, sched *core.DepScheduler) error {
 	const base = 0x1000_0000
 	colBytes := uint64(n) * 8
@@ -73,8 +76,8 @@ func ThreadedExact(a []float64, n, t int, sched *core.DepScheduler) error {
 			if j > 1 {
 				deps = append(deps, cur[j-1])
 			}
-			if it > 0 && j+1 < n-1 {
-				deps = append(deps, prev[j+1])
+			if it > 0 {
+				deps = append(deps, prev[min(j+1, n-2)])
 			}
 			cur[j] = sched.Fork(relax, j, 0,
 				base+uint64(j-1)*colBytes, base+uint64(j+2)*colBytes, 0, deps...)

@@ -206,10 +206,14 @@ type Config struct {
 	// cut along subtree boundaries, and steals pick victims by cache
 	// distance with a per-level width policy. A 1-level topology is the
 	// flat dispatch expressed through the tree and behaves identically.
+	// DepScheduler does not consult it: its parallel executor has no
+	// partition to cut.
 	Topology *Topology
-	// CriticalPathFirst orders DepScheduler frontiers by longest remaining
+	// CriticalPathFirst orders DepScheduler execution by longest remaining
 	// dependence path (precomputed once per DAG) so chains drain before
-	// leaves. False — the default — keeps the original fork/ID order.
+	// leaves: the serial executor visits the bins holding the tallest
+	// chains first, and the parallel executor's ready heap yields the
+	// tallest chain first. False — the default — keeps (bin, fork) order.
 	CriticalPathFirst bool
 	// ParallelFork shards the fork-side state into lock stripes so Fork
 	// may be called from many goroutines concurrently (see the package

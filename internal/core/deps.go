@@ -8,8 +8,8 @@ import (
 	"runtime/debug"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
-	"time"
 
 	"threadsched/internal/obs"
 )
@@ -28,24 +28,23 @@ import (
 // Independent threads therefore keep the paper's bin clustering, and
 // dependent ones are delayed exactly as long as the DAG requires.
 //
-// With Config.Workers > 1, Run instead drains the DAG in waves: each wave
-// gathers every currently runnable thread, partitions them by bin into
-// contiguous weighted segments (PartitionWeights, so each worker walks
-// neighbouring bins just like the parallel Scheduler tour), and executes
-// the wave on the persistent worker pool. Threads with no dependence path
-// between them may then run concurrently — callers must ensure the
-// dependence edges cover every conflicting access, which is exactly what
-// the wavefront variants (sor.ThreadedExact, pde.ThreadedExact) encode.
-// Fork remains single-goroutine either way.
+// With Config.Workers > 1, Run instead executes the DAG as a dataflow
+// graph on the persistent worker pool: a thread runs as soon as its last
+// predecessor finishes, on the worker that finished it when it is the
+// first dependent that worker readied, and otherwise from a shared ready
+// heap kept in (bin, ThreadID) order, so workers still walk neighbouring
+// bins. There is no barrier between dependence levels. Threads with no
+// dependence path between them may then run concurrently — callers must
+// ensure the dependence edges cover every conflicting access, which is
+// exactly what the wavefront variants (sor.ThreadedExact,
+// pde.ThreadedExact) encode. Fork remains single-goroutine either way.
 //
 // Config.CriticalPathFirst additionally orders execution by downstream
 // slack: each thread's longest remaining dependence path is computed once
 // per DAG, the serial executor visits bins holding the tallest chains
-// first each round, and the wave executor drains each frontier
-// tallest-first — so chains retire ahead of leaves and late waves are
-// less likely to serialize on one straggler chain. Config.Topology
-// routes the wave partition through the same hierarchical bin tree the
-// parallel Scheduler uses (see tree.go).
+// first each round, and the parallel executor's ready heap yields the
+// tallest chain first — so chains retire ahead of leaves. DepScheduler
+// does not consult Config.Topology.
 type DepScheduler struct {
 	sched *Scheduler // reuses binning via an internal fork of metadata
 
@@ -53,41 +52,31 @@ type DepScheduler struct {
 	fold       bool
 	workers    int
 
-	// topo and binBytes route parallel waves through the hierarchical bin
-	// tree when Config.Topology is set; nil keeps the flat wave partition.
-	topo     *Topology
-	binBytes uint64
-
 	// critical enables Config.CriticalPathFirst: heights[id] is the
 	// longest dependence path below thread id (its downstream slack),
-	// computed once per DAG, and frontiers drain tallest-first.
+	// computed once per DAG, and the ready heap yields tallest-first.
 	critical bool
 	heights  []int32
 
-	// met records the wavefront metrics (dep.waves, dep.frontier,
-	// dep.wave_ns); disabled when the Config carried no Obs.
-	met depObs
+	// parks counts the times a parallel worker found nothing runnable and
+	// parked (dep.parks); nil when the Config carried no Obs.
+	parks *obs.Counter
 
 	threads []depThread
 	bins    []*depBin
 	binIdx  map[binKey]int
 	pending int
 
-	// Wavefront scratch, reused across waves (and runs) so building a
-	// frontier allocates nothing in steady state: frontier is the flat
-	// runnable-thread buffer each wave's spans slice into, and readied[w]
-	// collects the dependents worker w's threads made runnable during the
-	// current wave. Each worker appends only to its own slice; merged after
-	// the wave barrier they are the next frontier.
-	frontier []ThreadID
-	readied  [][]ThreadID
-}
-
-// waveSpan is one bin's slice of a wave frontier: frontier[start:end]
-// holds the bin's runnable threads, bin names the depBin for post-wave
-// accounting.
-type waveSpan struct {
-	start, end, bin int
+	// Parallel-executor state, shared by one Run's workers. mu guards
+	// ready (the heap of runnable threads no worker has claimed), idle
+	// (the parked workers) and stop (the run is over); wake parks and
+	// wakes workers on mu. ran sums the threads the workers executed.
+	mu    sync.Mutex
+	wake  sync.Cond
+	ready []ThreadID
+	idle  int
+	stop  bool
+	ran   atomic.Int64
 }
 
 // ThreadID names a forked thread within one DepScheduler run.
@@ -98,8 +87,8 @@ type depThread struct {
 	arg1, arg2 int
 	bin        int
 	// waits is the number of unfinished predecessors (-1 marks an invalid
-	// dependence). Parallel waves decrement it atomically; every read
-	// happens after the wave barrier, so plain loads elsewhere are safe.
+	// dependence). The parallel executor decrements it atomically; every
+	// plain access happens outside its fanOut, so it is safe.
 	waits int32
 	// badDep is the offending dependence when waits is -1, surfaced by
 	// Run in the UnknownDependencyError.
@@ -179,33 +168,35 @@ func (e *UnknownDependencyError) Error() string {
 func (e *UnknownDependencyError) Unwrap() error { return ErrUnknownDependency }
 
 // NewDep returns a dependence-aware scheduler configured like New.
-// Config.Workers > 1 selects the parallel wavefront executor.
+// Config.Workers > 1 selects the parallel dataflow executor.
 func NewDep(cfg Config) *DepScheduler {
 	s := New(cfg)
-	return &DepScheduler{
+	d := &DepScheduler{
 		sched:      s,
 		blockShift: s.blockShift,
 		fold:       cfg.FoldSymmetric,
 		workers:    cfg.Workers,
-		topo:       s.cfg.Topology,
-		binBytes:   s.binFootprint(),
 		critical:   cfg.CriticalPathFirst,
-		met:        newDepObs(cfg.Obs),
 		binIdx:     make(map[binKey]int),
 	}
+	if cfg.Obs != nil {
+		d.parks = cfg.Obs.Registry().Counter("dep.parks")
+	}
+	d.wake.L = &d.mu
+	return d
 }
 
-// Workers returns the configured wave-executor worker count; values below
-// two mean Run drains bins serially.
+// Workers returns the configured parallel-executor worker count; values
+// below two mean Run drains bins serially.
 func (d *DepScheduler) Workers() int { return d.workers }
 
 // Close releases the worker goroutines a parallel Run left parked; see
 // Scheduler.Close.
 func (d *DepScheduler) Close() { d.sched.Close() }
 
-// Snapshot merges the attached observability registry (wave counts,
-// frontier sizes, wave times plus the shared worker metrics); the zero
-// Snapshot without Config.Obs. See Scheduler.Snapshot.
+// Snapshot merges the attached observability registry (worker parks plus
+// the shared worker metrics); the zero Snapshot without Config.Obs. See
+// Scheduler.Snapshot.
 func (d *DepScheduler) Snapshot() obs.Snapshot { return d.sched.Snapshot() }
 
 // BlockSize returns the per-dimension block size in effect.
@@ -265,7 +256,8 @@ func (d *DepScheduler) Fork(f Func, arg1, arg2 int, h1, h2, h3 uint64, deps ...T
 // Run executes all threads in a locality-greedy topological order,
 // destroying the schedule. It fails (leaving unexecuted threads
 // unexecuted) if dependencies are invalid or cyclic. With Workers > 1
-// each wave of runnable threads executes concurrently on the worker pool.
+// threads execute concurrently on the worker pool as their dependences
+// allow.
 //
 // Run is RunContext without cancellation; a thread panic propagates as a
 // panic (with a *ThreadPanicError value) exactly as it did before
@@ -280,9 +272,11 @@ func (d *DepScheduler) Run() error {
 
 // RunContext is Run with cooperative cancellation and fault containment.
 // A thread panic is recovered, the run quiesces (parallel workers stop at
-// their next bin boundary; no goroutines leak), and the first panic
+// their next thread boundary; no goroutines leak), and the first panic
 // returns as a *ThreadPanicError. A done ctx stops the run at the next
-// bin (serial) or wave (parallel) boundary and returns ctx.Err(). Invalid
+// bin (serial) or thread (parallel) boundary and returns ctx.Err(). In a
+// parallel run, a thread that became runnable only after the halt never
+// runs; in any run, no thread starts after RunContext returns. Invalid
 // dependencies return an *UnknownDependencyError before any thread runs,
 // and a run that stops making progress returns a *DependencyCycleError
 // naming one witness cycle.
@@ -306,7 +300,7 @@ func (d *DepScheduler) RunContext(ctx context.Context) error {
 		d.computeHeights()
 	}
 	if d.workers > 1 {
-		return d.runWaves(ctx)
+		return d.runParallel(ctx)
 	}
 	binOrder := d.serialBinOrder()
 	remaining := d.pending
@@ -331,171 +325,203 @@ func (d *DepScheduler) RunContext(ctx context.Context) error {
 		}
 		remaining -= ranThisRound
 	}
-	// Cancellation wins even when it lands during the final drain, for
-	// consistency with the wavefront path's post-wave control check.
+	// Cancellation wins even when it lands during the final drain, as it
+	// does in the parallel executor.
 	return ctx.Err()
 }
 
-// runWaves is the parallel executor: each wave takes the runnable
-// frontier in (bin index, ThreadID) order, cuts it into contiguous
-// weighted bin segments, and executes one segment per worker. The barrier
-// between waves is what lets dependents observe completed predecessors
-// without per-thread synchronization; within a wave only threads with no
-// dependence path between them run, and they are at least two bins apart
-// in the wavefront codes, so per-worker bin runs keep the paper's
-// clustering.
-//
-// Each wave costs time proportional to its frontier, not to the threads
-// still pending: the first frontier is one pass over the threads with no
-// unfinished predecessor, and every later one is exactly the threads
-// whose last predecessor finished in the previous wave — which the
-// workers collected in their readied slices as they ran — merged and
-// sorted. Waves are therefore the Kahn levels of the DAG.
-func (d *DepScheduler) runWaves(ctx context.Context) error {
+// runParallel is the parallel executor. A single fanOut starts every
+// worker, and there is no barrier between dependence levels: a worker
+// runs a thread as soon as the thread's last predecessor finishes. Of
+// the dependents a finished thread readies, the worker keeps the first
+// and runs it next — in the wavefront codes that is the same-sweep
+// neighbour, one bin step along — and publishes the rest to the shared
+// ready heap. A worker with nothing kept takes the heap's first thread
+// and parks while the heap is empty. The run ends when the heap is empty
+// and every other worker is parked (no running thread is left to ready
+// anything: either every thread ran or the rest can never run), or when
+// a thread panic or a done ctx halts it.
+func (d *DepScheduler) runParallel(ctx context.Context) error {
+	workers := max(1, min(d.workers, d.pending))
 	ctrl := newRunControl(ctx)
-	if len(d.readied) < d.workers {
-		d.readied = make([][]ThreadID, d.workers)
-	}
-	d.frontier = d.frontier[:0]
 	for id := range d.threads {
 		if d.threads[id].waits == 0 {
-			d.frontier = append(d.frontier, ThreadID(id))
+			d.ready = append(d.ready, ThreadID(id))
 		}
 	}
-	var (
-		spans   []waveSpan
-		weights []int
-	)
-	for d.pending > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		total := len(d.frontier)
-		if total == 0 {
-			return d.cycleError()
-		}
-		spans, weights = d.frontierSpans(spans[:0], weights[:0])
-		d.met.waves.Inc(0)
-		d.met.frontier.Observe(0, uint64(total))
-		var start time.Time
-		if d.met.o != nil {
-			start = time.Now()
-		}
-		d.executeWave(spans, weights, ctrl)
-		if d.met.o != nil {
-			d.met.waveNS.Observe(0, uint64(time.Since(start)))
-		}
-		// The fanOut barrier inside executeWave ordered every record call
-		// before this check, so a panic anywhere in the wave is visible.
-		if err := ctrl.err(); err != nil {
-			return err
-		}
-		// The wave completed: the threads it made runnable are the next
-		// frontier.
-		d.pending -= total
-		d.frontier = d.frontier[:0]
-		for w, ids := range d.readied {
-			d.frontier = append(d.frontier, ids...)
-			d.readied[w] = ids[:0]
-		}
+	slices.SortFunc(d.ready, d.readyOrder) // a sorted slice is a valid heap
+	d.idle, d.stop = 0, false
+	d.ran.Store(0)
+	d.sched.fanOut(workers, "dataflow", func(self int) { d.work(self, workers, ctrl) })
+	// fanOut's barrier ordered every record call and every thread's
+	// bookkeeping before this point.
+	if err := ctrl.err(); err != nil {
+		return err
 	}
-	return ctx.Err() // cancellation wins even on a completed drain
+	if int(d.ran.Load()) < d.pending {
+		return d.cycleError()
+	}
+	return nil
 }
 
-// frontierSpans sorts the frontier by (bin index, ThreadID) — the order a
-// walk of every bin's queue would find its runnable threads in — and
-// appends one span and weight per bin run. Under CriticalPathFirst each
-// span is then ordered tallest chain first, and the spans tallest span
-// first.
-func (d *DepScheduler) frontierSpans(spans []waveSpan, weights []int) ([]waveSpan, []int) {
-	slices.SortFunc(d.frontier, func(a, b ThreadID) int {
-		if c := cmp.Compare(d.threads[a].bin, d.threads[b].bin); c != 0 {
+// work is one worker's loop: take a thread from the ready heap, run it
+// and the chain of dependents it keeps, repeat until the run ends.
+func (d *DepScheduler) work(self, workers int, ctrl *runControl) {
+	sp := d.sched.met.span(self, "dataflow")
+	ran := 0
+	for {
+		id, ok := d.take(self, workers)
+		if !ok {
+			break
+		}
+		n, perr := d.runFrom(id, self, ctrl)
+		ran += n
+		if perr != nil {
+			ctrl.record(perr)
+		}
+		if ctrl.halted() {
+			d.halt()
+			break
+		}
+	}
+	d.ran.Add(int64(ran))
+	sp.End()
+}
+
+// take claims the first thread of the ready heap, parking while the heap
+// is empty. It reports false once the run is over: halted, or quiescent —
+// the heap empty with every other worker parked.
+func (d *DepScheduler) take(self, workers int) (ThreadID, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for len(d.ready) == 0 && !d.stop {
+		if d.idle == workers-1 {
+			d.stop = true
+			d.wake.Broadcast()
+			break
+		}
+		d.idle++
+		d.parks.Inc(self)
+		d.wake.Wait()
+		d.idle--
+	}
+	if d.stop {
+		return 0, false
+	}
+	return d.pop(), true
+}
+
+// halt ends the run for every worker, waking the parked ones.
+func (d *DepScheduler) halt() {
+	d.mu.Lock()
+	d.stop = true
+	d.wake.Broadcast()
+	d.mu.Unlock()
+}
+
+// runFrom runs thread id and then, for as long as the thread just run
+// readied a dependent, the first dependent it readied; the others go to
+// the ready heap, each waking one parked worker. The run control is
+// checked before every thread, so a halt stops the chain at the next
+// thread boundary. A thread panic is recovered into a *ThreadPanicError;
+// the run is abandoned then, so the notifications made before it are
+// never observed past reset.
+func (d *DepScheduler) runFrom(id ThreadID, worker int, ctrl *runControl) (ran int, perr *ThreadPanicError) {
+	defer func() {
+		if r := recover(); r != nil {
+			perr = &ThreadPanicError{
+				Value:  r,
+				Phase:  "dataflow",
+				Worker: worker,
+				Bin:    d.threads[id].bin,
+				Thread: int(id),
+				Stack:  debug.Stack(),
+			}
+		}
+	}()
+	for id >= 0 && !ctrl.halted() {
+		t := &d.threads[id]
+		t.fn(t.arg1, t.arg2)
+		t.done = true
+		ran++
+		next, locked := ThreadID(-1), false
+		for _, dep := range t.dependents {
+			if atomic.AddInt32(&d.threads[dep].waits, -1) != 0 {
+				continue
+			}
+			if next < 0 {
+				next = dep
+				continue
+			}
+			if !locked {
+				d.mu.Lock()
+				locked = true
+			}
+			d.push(dep)
+			d.wake.Signal()
+		}
+		if locked {
+			d.mu.Unlock()
+		}
+		id = next
+	}
+	return ran, nil
+}
+
+// readyOrder orders the ready heap: (bin, ThreadID), the order a walk of
+// every bin's queue would meet runnable threads in, and under
+// CriticalPathFirst the tallest remaining chain first.
+func (d *DepScheduler) readyOrder(a, b ThreadID) int {
+	if d.critical {
+		if c := cmp.Compare(d.heights[b], d.heights[a]); c != 0 {
 			return c
 		}
-		return cmp.Compare(a, b)
-	})
-	for start := 0; start < len(d.frontier); {
-		bi := d.threads[d.frontier[start]].bin
-		end := start + 1
-		for end < len(d.frontier) && d.threads[d.frontier[end]].bin == bi {
-			end++
-		}
-		if d.critical && end-start > 1 {
-			// Tallest chains first within the bin; stable so ties keep
-			// forked order.
-			slot := d.frontier[start:end]
-			sort.SliceStable(slot, func(a, b int) bool {
-				return d.heights[slot[a]] > d.heights[slot[b]]
-			})
-		}
-		spans = append(spans, waveSpan{start: start, end: end, bin: bi})
-		weights = append(weights, end-start)
-		start = end
 	}
-	if d.critical && len(spans) > 1 {
-		// Bins carrying the tallest remaining chains drain first. This
-		// trades some tour adjacency for chain progress, which is the
-		// point of CriticalPathFirst; stable keeps tour order on ties.
-		sort.Stable(&spanHeightSort{spans: spans, weights: weights, d: d})
+	if c := cmp.Compare(d.threads[a].bin, d.threads[b].bin); c != 0 {
+		return c
 	}
-	return spans, weights
+	return cmp.Compare(a, b)
 }
 
-// executeWave runs the collected frontier on the worker pool, one
-// contiguous run of bins per worker. With a Topology the cut follows the
-// hierarchical bin tree over the wave's spans (topoAssign), so worker
-// clusters sharing a cache take adjacent runs of frontier bins, exactly
-// as the parallel Scheduler tour does; otherwise it is the flat weighted
-// partition. Workers slice the shared frontier buffer read-only through
-// their spans, append the dependents they make runnable to their own
-// readied slice, and check the shared runControl between bins, so a panic
-// on one worker (recovered into the control) or an expired ctx halts the
-// wave at bin granularity; fanOut's barrier then guarantees quiescence
-// before runWaves inspects the control and the readied slices.
-func (d *DepScheduler) executeWave(spans []waveSpan, weights []int, ctrl *runControl) {
-	var asn []segRange
-	if d.topo != nil {
-		asn = topoAssign(weights, d.workers, buildBinTree(len(spans), d.binBytes, d.topo))
-	} else {
-		asn = startsToRanges(PartitionWeights(weights, d.workers), len(spans))
-	}
-	d.sched.fanOut(len(asn), "wave", func(self int) {
-		sp := d.sched.met.span(self, "wave")
-		defer sp.End()
-		ready := d.readied[self]
-		defer func() { d.readied[self] = ready }()
-		for si := asn[self].lo; si < asn[self].hi; si++ {
-			if ctrl.halted() {
-				return
-			}
-			ws := spans[si]
-			var perr *ThreadPanicError
-			if ready, perr = d.runWaveBin(d.frontier[ws.start:ws.end], ws.bin, self, ready); perr != nil {
-				ctrl.record(perr)
-				return
-			}
+// push adds id to the ready heap, a binary min-heap under readyOrder
+// kept by hand because container/heap would box every pushed ThreadID.
+// The caller holds mu.
+func (d *DepScheduler) push(id ThreadID) {
+	h := append(d.ready, id)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if d.readyOrder(h[i], h[p]) >= 0 {
+			break
 		}
-	})
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	d.ready = h
 }
 
-// spanHeightSort co-sorts a wave's spans and weights by each span's
-// tallest thread height, descending. The spans' frontier slices were
-// already sorted tallest-first, so frontier[start] carries the maximum.
-type spanHeightSort struct {
-	spans   []waveSpan
-	weights []int
-	d       *DepScheduler
-}
-
-func (s *spanHeightSort) Len() int { return len(s.spans) }
-
-func (s *spanHeightSort) Less(i, j int) bool {
-	return s.d.heights[s.d.frontier[s.spans[i].start]] > s.d.heights[s.d.frontier[s.spans[j].start]]
-}
-
-func (s *spanHeightSort) Swap(i, j int) {
-	s.spans[i], s.spans[j] = s.spans[j], s.spans[i]
-	s.weights[i], s.weights[j] = s.weights[j], s.weights[i]
+// pop removes and returns the ready heap's first thread. The caller holds
+// mu and has checked the heap is not empty.
+func (d *DepScheduler) pop() ThreadID {
+	h := d.ready
+	top, n := h[0], len(h)-1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && d.readyOrder(h[c+1], h[c]) < 0 {
+			c++
+		}
+		if d.readyOrder(h[c], h[i]) >= 0 {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	d.ready = h
+	return top
 }
 
 // computeHeights fills heights[id] with the longest dependence path from
@@ -546,40 +572,6 @@ func (d *DepScheduler) serialBinOrder() []int {
 	}
 	sort.SliceStable(order, func(a, b int) bool { return maxH[order[a]] > maxH[order[b]] })
 	return order
-}
-
-// runWaveBin executes one wave bin's threads, appending to ready every
-// dependent whose last unfinished predecessor was among them, and
-// recovers a thread panic into a *ThreadPanicError. Threads that completed
-// before the panic have notified their dependents; the run is abandoned
-// anyway, so the partial notifications are never observed past reset.
-func (d *DepScheduler) runWaveBin(ids []ThreadID, binIdx, worker int, in []ThreadID) (ready []ThreadID, perr *ThreadPanicError) {
-	ready = in
-	cur := ThreadID(-1)
-	defer func() {
-		if r := recover(); r != nil {
-			perr = &ThreadPanicError{
-				Value:  r,
-				Phase:  "wave",
-				Worker: worker,
-				Bin:    binIdx,
-				Thread: int(cur),
-				Stack:  debug.Stack(),
-			}
-		}
-	}()
-	for _, id := range ids {
-		cur = id
-		t := &d.threads[id]
-		t.fn(t.arg1, t.arg2)
-		t.done = true
-		for _, dep := range t.dependents {
-			if atomic.AddInt32(&d.threads[dep].waits, -1) == 0 {
-				ready = append(ready, dep)
-			}
-		}
-	}
-	return ready, nil
 }
 
 // drainBin runs every currently runnable thread of the bin, in forked
@@ -695,17 +687,13 @@ func (d *DepScheduler) cycleError() *DependencyCycleError {
 }
 
 // reset discards all thread state; IDs from before are invalid. The bin
-// index and the wavefront scratch buffers keep their capacity for the
-// next run; emptying the readied slices matters after a wave halted by a
-// panic or a cancel, whose readied dependents must not leak into the
-// next run's frontiers.
+// index and the ready heap keep their capacity for the next run; emptying
+// the heap matters after a run halted by a panic or a cancel, whose
+// unclaimed runnable threads must not leak into the next run.
 func (d *DepScheduler) reset() {
 	d.threads = d.threads[:0]
 	d.bins = d.bins[:0]
 	clear(d.binIdx)
 	d.pending = 0
-	d.frontier = d.frontier[:0]
-	for w := range d.readied {
-		d.readied[w] = d.readied[w][:0]
-	}
+	d.ready = d.ready[:0]
 }

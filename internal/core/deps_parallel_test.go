@@ -39,7 +39,7 @@ func forkWavefront(d *DepScheduler, grid []int64, iters, cols int) {
 
 // TestDepSchedulerParallelWavefrontMatchesSerial runs the same
 // dependence grid through the serial executor and the parallel
-// wavefront executor and requires identical results.
+// dataflow executor and requires identical results.
 func TestDepSchedulerParallelWavefrontMatchesSerial(t *testing.T) {
 	const iters, cols = 7, 23
 	serial := make([]int64, iters*cols)

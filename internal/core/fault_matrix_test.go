@@ -14,8 +14,9 @@ import (
 // The fault-injection matrix: a deterministic injected panic at the
 // first, middle, and last thread of a run, across every execution path —
 // serial, segmented parallel, atomic parallel, dependence-serial, and
-// wavefront — must be contained into a typed error, quiesce without
-// leaking goroutines, and leave the scheduler reusable. These tests are
+// wavefront (DepScheduler's parallel dataflow executor) — must be
+// contained into a typed error, quiesce without leaking goroutines, and
+// leave the scheduler reusable. These tests are
 // part of the -race suite; the detector verifies the containment paths
 // carry the same happens-before edges as normal completion.
 

@@ -15,9 +15,7 @@ import (
 //	sched.steals            successful segment steals, per thief worker
 //	sched.segment_drain_ns  time to drain one contiguous segment (initial or stolen)
 //	sched.tour_overflow     tour builds that saw a block coordinate ≥ 2^curveBits
-//	dep.waves               wavefront rounds executed by DepScheduler.Run
-//	dep.frontier            runnable-frontier size per wave (histogram)
-//	dep.wave_ns             wall time per wave (histogram)
+//	dep.parks               times a parallel DepScheduler worker found nothing runnable and parked
 //
 // With a multi-level Topology, hierarchical dispatch additionally splits
 // the steal and drain traffic per cache level (l0 innermost):
@@ -144,25 +142,4 @@ func (m *schedObs) span(worker int, name string) obs.Span {
 		return obs.Span{}
 	}
 	return m.o.Timeline().Begin(worker, name)
-}
-
-// depObs is the DepScheduler's wavefront instrumentation.
-type depObs struct {
-	o        *obs.Obs
-	waves    *obs.Counter
-	frontier *obs.Histogram
-	waveNS   *obs.Histogram
-}
-
-func newDepObs(o *obs.Obs) depObs {
-	if o == nil {
-		return depObs{}
-	}
-	r := o.Registry()
-	return depObs{
-		o:        o,
-		waves:    r.Counter("dep.waves"),
-		frontier: r.Histogram("dep.frontier"),
-		waveNS:   r.Histogram("dep.wave_ns"),
-	}
 }

@@ -99,37 +99,37 @@ func TestTourOverflowCounter(t *testing.T) {
 	}
 }
 
-// TestDepSchedulerObservedWaves checks the wavefront metrics: a chain of
-// dependent threads across two bins must report its waves and frontier
-// sizes.
-func TestDepSchedulerObservedWaves(t *testing.T) {
-	o := obs.New(2)
-	d := NewDep(Config{Workers: 2, BlockSize: 1 << 12, Obs: o})
-	defer d.Close()
-	ran := make([]bool, 8)
-	var prev ThreadID
-	for i := 0; i < 8; i++ {
-		i := i
-		deps := []ThreadID{}
-		if i > 0 {
-			deps = append(deps, prev)
+// TestDepSchedulerObservedParks checks the parallel executor's metric: a
+// chain of dependent threads across two bins runs on one worker, which
+// keeps each dependent it readies, so every other worker finds nothing
+// runnable and parks exactly once before the run ends.
+func TestDepSchedulerObservedParks(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		o := obs.New(workers)
+		d := NewDep(Config{Workers: workers, BlockSize: 1 << 12, Obs: o})
+		ran := make([]bool, 8)
+		var prev ThreadID
+		for i := 0; i < 8; i++ {
+			i := i
+			deps := []ThreadID{}
+			if i > 0 {
+				deps = append(deps, prev)
+			}
+			prev = d.Fork(func(int, int) { ran[i] = true }, i, 0, uint64(i%2)<<12, 0, 0, deps...)
 		}
-		prev = d.Fork(func(int, int) { ran[i] = true }, i, 0, uint64(i%2)<<12, 0, 0, deps...)
-	}
-	if err := d.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range ran {
-		if !r {
-			t.Fatalf("thread %d did not run", i)
+		if err := d.Run(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	snap := d.Snapshot()
-	if c, ok := snapCounter(snap, "dep.waves"); !ok || c.Total != 8 {
-		t.Errorf("dep.waves = %+v, want 8 (chain forces one thread per wave)", c)
-	}
-	if h, ok := snapHistogram(snap, "dep.frontier"); !ok || h.Count != 8 || h.Max != 1 {
-		t.Errorf("dep.frontier = %+v, want 8 observations of 1", h)
+		d.Close()
+		for i, r := range ran {
+			if !r {
+				t.Fatalf("workers=%d: thread %d did not run", workers, i)
+			}
+		}
+		snap := d.Snapshot()
+		if c, ok := snapCounter(snap, "dep.parks"); !ok || c.Total != uint64(workers-1) {
+			t.Errorf("workers=%d: dep.parks = %+v, want %d (one per idle worker)", workers, c, workers-1)
+		}
 	}
 }
 

@@ -25,14 +25,15 @@ type ThreadPanicError struct {
 	Value any
 	// Phase names the execution path: "run" (Scheduler.RunContext, serial
 	// or parallel dispatch), "run-each" (RunEachContext), "dep-run"
-	// (DepScheduler serial drain), or "wave" (DepScheduler wavefront).
+	// (DepScheduler serial drain), or "dataflow" (DepScheduler parallel
+	// executor).
 	Phase string
 	// Worker is the worker index that executed the thread; 0 is the
 	// goroutine that called Run.
 	Worker int
-	// Bin locates the thread's bin: the tour index for Scheduler runs,
-	// the drain order index for "dep-run", or the position in the wave's
-	// runnable bin list for "wave".
+	// Bin locates the thread's bin: the tour index for Scheduler runs, or
+	// the DepScheduler's bin index (bins number in first-fork order) for
+	// "dep-run" and "dataflow".
 	Bin int
 	// Thread identifies the thread within the bin: its fork-order index
 	// for Scheduler runs, or its ThreadID for DepScheduler runs.
@@ -62,8 +63,9 @@ func newRunControl(ctx context.Context) *runControl {
 }
 
 // halted reports whether workers should stop claiming bins: a panic was
-// recorded or the context is done. Called once per bin; the fast path is
-// one relaxed atomic load plus ctx.Err (a nil return for Background).
+// recorded or the context is done. Called once per bin (once per thread
+// by the DepScheduler's parallel executor); the fast path is one relaxed
+// atomic load plus ctx.Err (a nil return for Background).
 func (c *runControl) halted() bool {
 	return c.stop.Load() || c.ctx.Err() != nil
 }
