@@ -24,10 +24,6 @@
 #   make guard-replay — the opt-in sliced-replay tripwire: fails if the
 #                  address-sliced parallel simulation falls below its
 #                  serial baseline at >=2 workers (skips on 1-CPU hosts)
-#   make guard-tree — the opt-in hierarchical-dispatch tripwire: fails if
-#                  routing a parallel run through the topology bin tree
-#                  falls below the flat segmented dispatcher on the same
-#                  workload (skips on 1-CPU hosts)
 #   make bench   — one pass over every benchmark (smoke, not measurement)
 #   make bench-core — the fork/run pipeline benchmarks with real counts
 #   make bench-sim  — the simulation-pipeline benchmarks; writes a
@@ -47,7 +43,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race serve-smoke crash-smoke fuzz-smoke guard-pipeline guard-replay guard-tree bench bench-core bench-sim bench-apps bench-replay json timeline
+.PHONY: check build vet test race serve-smoke crash-smoke fuzz-smoke guard-pipeline guard-replay bench bench-core bench-sim bench-apps bench-replay json timeline
 
 check: build vet test race serve-smoke crash-smoke
 
@@ -111,12 +107,6 @@ guard-pipeline:
 # (skips otherwise — scatter is added work a single core cannot hide).
 guard-replay:
 	GUARD_REPLAY=1 $(GO) test -run TestGuardReplayThroughput -count=1 -timeout 20m -v ./internal/harness/
-
-# Opt-in hierarchical-dispatch guard: the bin-tree dispatcher must not
-# fall below the flat segmented dispatcher on the same skewed workload.
-# Needs a multicore host (skips otherwise).
-guard-tree:
-	GUARD_TREE=1 $(GO) test -run TestGuardTreeThroughput -count=1 -v ./internal/core/
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x .

@@ -409,13 +409,12 @@ func BenchmarkParallelFork(b *testing.B) {
 	}
 }
 
-// BenchmarkPartitionedRun compares the two parallel dispatch policies:
-// contiguous weighted tour segments with chunked stealing (the default)
-// against the legacy shared atomic counter. Native wall time is reported
-// per policy; the smp sub-benchmark reports the simulated coherence
-// traffic delta, which is the effect wall time on a real multicore
-// follows (segment dispatch keeps tour neighbours — and the read-mostly
-// data they share — on one cache).
+// BenchmarkPartitionedRun times the parallel dispatcher — contiguous
+// weighted tour segments with chunked stealing — on a skewed keep=true
+// re-run. The smp sub-benchmark reports the simulated coherence traffic
+// of segment dispatch against a shared-counter interleave, which is the
+// effect wall time on a real multicore follows (segment dispatch keeps
+// tour neighbours — and the read-mostly data they share — on one cache).
 func BenchmarkPartitionedRun(b *testing.B) {
 	const (
 		bins    = 64
@@ -435,28 +434,25 @@ func BenchmarkPartitionedRun(b *testing.B) {
 		}
 		sink[a1] = s
 	}
-	for _, d := range []core.Dispatch{core.DispatchSegmented, core.DispatchAtomic} {
-		b.Run(d.String(), func(b *testing.B) {
-			s := core.New(core.Config{CacheSize: 1 << 20, BlockSize: 1 << 13,
-				Workers: 4, Dispatch: d})
-			defer s.Close()
-			for bi := 0; bi < bins; bi++ {
-				// Skewed occupancy: low bins hold more threads, so the
-				// weighted partition and stealing both matter.
-				n := perBin
-				if bi%4 != 0 {
-					n = perBin / 4
-				}
-				for j := 0; j < n; j++ {
-					s.Fork(body, bi*perBin+j, 0, uint64(bi)<<13, 0, 0)
-				}
+	b.Run("segmented", func(b *testing.B) {
+		s := core.New(core.Config{CacheSize: 1 << 20, BlockSize: 1 << 13, Workers: 4})
+		defer s.Close()
+		for bi := 0; bi < bins; bi++ {
+			// Skewed occupancy: low bins hold more threads, so the
+			// weighted partition and stealing both matter.
+			n := perBin
+			if bi%4 != 0 {
+				n = perBin / 4
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Run(true)
+			for j := 0; j < n; j++ {
+				s.Fork(body, bi*perBin+j, 0, uint64(bi)<<13, 0, 0)
 			}
-		})
-	}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Run(true)
+		}
+	})
 	b.Run("smp-invalidations", func(b *testing.B) {
 		m := machine.R8000().Scaled(16)
 		for i := 0; i < b.N; i++ {

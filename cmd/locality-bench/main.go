@@ -5,7 +5,6 @@
 //
 //	locality-bench [-exp all|table1..table9|figure4|ablations] [-size quick|scaled|full]
 //	               [-mode pipeline|serial] [-parallel N]
-//	               [-topology 32k:2,256k:8,8m:64] [-steal-chunk N]
 //	               [-progress] [-list] [-json BENCH_CORE.json]
 //	               [-simbench BENCH_SIM.json] [-appbench BENCH_APPS.json]
 //	               [-replaybench BENCH_REPLAY.json]
@@ -13,19 +12,8 @@
 //
 // -json additionally writes a machine-readable record of the run — wall
 // nanoseconds per experiment plus each table's attached metrics (bins
-// used, threads per bin, host ns/thread), and (schema v2) a hierarchical
-// dispatch sweep recording flat-vs-tree scheduler throughput with
-// per-level steal counts — so the performance trajectory can be diffed
-// across revisions.
-//
-// -topology threads a cache-hierarchy description (innermost level
-// first, capacity:workers[:stealchunk] per level) into every scheduler:
-// the simulated tables are single-worker and unchanged by it (the golden
-// equivalence tests pin this), but the -json sweep and the -metrics
-// snapshot then measure the hierarchical dispatcher under that shape
-// instead of the default sweep topologies. -steal-chunk bounds how many
-// bins one segment claim or narrow steal takes (0 keeps the scheduler
-// default; per-level topology chunks override it).
+// used, threads per bin, host ns/thread) — so the performance trajectory
+// can be diffed across revisions.
 //
 // -parallel N runs each table's independent simulations on up to N
 // concurrent workers. -mode selects the reference-stream path: pipeline
@@ -84,7 +72,6 @@ import (
 	"syscall"
 	"time"
 
-	"threadsched/internal/core"
 	"threadsched/internal/harness"
 	"threadsched/internal/obs"
 	"threadsched/internal/tables"
@@ -109,8 +96,6 @@ func main() {
 	appbenchReps := flag.Int("appbench-reps", 5, "with -appbench: best-of repetition count per measurement")
 	metricsOut := flag.String("metrics", "", "write a merged scheduler/pipeline/sim metrics snapshot (JSON) to this file")
 	timelineOut := flag.String("timeline", "", "write a Chrome trace_event worker timeline (JSON, for chrome://tracing or Perfetto) to this file")
-	topology := flag.String("topology", "", "cache topology for hierarchical scheduling, innermost level first, e.g. 32k:2,256k:8,8m:64 (capacity:workers[:stealchunk] per level); empty or \"flat\" keeps the flat dispatch")
-	stealChunk := flag.Int("steal-chunk", 0, "max bins per segment claim / narrow steal (0 = scheduler default; per-level topology chunks override)")
 	flag.Parse()
 
 	if *list {
@@ -137,12 +122,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.Parallel = *parallel
-	topo, err := core.ParseTopology(*topology)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bad -topology: %v\n", err)
-		os.Exit(2)
-	}
-	cfg.Topology = topo
 
 	// Interrupt (or SIGTERM) stops the run at the next job boundary: no
 	// new simulation starts, completed tables have already rendered, and
@@ -248,7 +227,7 @@ func main() {
 		fmt.Printf("size=%s (cache scale ÷%d, N-body ÷%d)\n\n", *size, cfg.Scale, cfg.NBodyScale)
 	}
 	record := benchRecord{
-		Schema: "threadsched/bench-core/v2",
+		Schema: "threadsched/bench-core/v3",
 		Date:   time.Now().UTC().Format(time.RFC3339),
 		Size:   *size,
 		Go:     runtime.Version(),
@@ -283,16 +262,6 @@ func main() {
 		})
 	}
 	if *jsonOut != "" {
-		// The hierarchical dispatch sweep rides along with every record
-		// (schema v2): flat vs tree threads/sec plus per-level steal counts.
-		if ctx.Err() == nil {
-			sweep, err := runTopoSweep(*size, *topology, *stealChunk, prog)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "topology sweep: %v\n", err)
-				os.Exit(1)
-			}
-			record.TopologySweep = sweep
-		}
 		if err := writeRecord(*jsonOut, record); err != nil {
 			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonOut, err)
 			os.Exit(1)
@@ -348,10 +317,6 @@ type benchRecord struct {
 	Go          string      `json:"go"`
 	CPUs        int         `json:"cpus"`
 	Experiments []expRecord `json:"experiments"`
-	// TopologySweep (schema v2) is the hierarchical dispatch sweep: live
-	// scheduler throughput flat vs bin-tree per topology and worker count,
-	// with per-level steal counts. See cmd/locality-bench/treebench.go.
-	TopologySweep []topoSweepEntry `json:"topology_sweep,omitempty"`
 }
 
 type expRecord struct {

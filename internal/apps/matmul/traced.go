@@ -268,7 +268,6 @@ func ParallelScheduler(l2Size uint64, workers int) *core.Scheduler {
 		CacheSize:    l2Size,
 		BlockSize:    l2Size / 2,
 		Workers:      workers,
-		Dispatch:     core.DispatchSegmented,
 		ParallelFork: true,
 	})
 }

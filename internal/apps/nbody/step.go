@@ -175,7 +175,6 @@ func ParallelScheduler(l2Size uint64, workers int) *core.Scheduler {
 	return core.New(core.Config{
 		CacheSize:    l2Size,
 		Workers:      workers,
-		Dispatch:     core.DispatchSegmented,
 		ParallelFork: true,
 	})
 }

@@ -43,14 +43,12 @@
 //     which therefore share cache lines) stay on one worker's cache. Idle
 //     workers rebalance by stealing the upper half of the largest
 //     remaining segment — stolen work is itself a contiguous tour run.
-//     DispatchAtomic restores the legacy one-bin-at-a-time atomic-counter
-//     dispatch as a comparison baseline.
-//   - Topology layers a cache hierarchy over the segmented dispatch: the
-//     tour groups into nested bubbles sized to each cache level (L1 → L2
-//     → LLC), worker clusters sharing a cache walk whole subtrees, and
-//     steals pick victims by cache distance — narrow chunks from cluster
-//     siblings, whole subtrees across the outermost level. See
-//     topology.go, tree.go, and tree_dispatch.go.
+//     Owners claim bins in chunks of at most DefaultStealChunk. This is
+//     the only parallel dispatcher: a one-bin-at-a-time atomic-counter
+//     baseline and a topology-aware bin tree were both measured against
+//     it and deleted, the first because it scatters tour neighbours
+//     across caches (internal/smp.CompareDispatch keeps that finding),
+//     the second because it never beat the flat segments.
 //
 // Run's worker goroutines persist in a pool across Run calls (amortizing
 // spawn cost for keep=true re-runs); Close releases them. The bin tour is
@@ -119,33 +117,6 @@ func (t TourOrder) String() string {
 	}
 }
 
-// Dispatch selects how Run hands bins to workers when Workers > 1.
-type Dispatch int
-
-const (
-	// DispatchSegmented partitions the bin tour into contiguous segments
-	// weighted by thread count, one per worker, with chunked stealing
-	// from the largest remaining segment — spatially adjacent bins stay
-	// on one worker (the default).
-	DispatchSegmented Dispatch = iota
-	// DispatchAtomic is the legacy baseline: workers claim bins one at a
-	// time from a shared atomic counter, interleaving tour neighbours
-	// across workers.
-	DispatchAtomic
-)
-
-// String names the dispatch policy.
-func (d Dispatch) String() string {
-	switch d {
-	case DispatchSegmented:
-		return "segmented"
-	case DispatchAtomic:
-		return "atomic"
-	default:
-		return fmt.Sprintf("Dispatch(%d)", int(d))
-	}
-}
-
 // Defaults mirroring the C package's configuration-dependent defaults.
 const (
 	// DefaultHashDim is the default per-dimension size of the 3-D hash
@@ -186,29 +157,11 @@ type Config struct {
 	Tour TourOrder
 	// Workers > 1 enables the SMP extension: bins are executed in
 	// parallel by this many workers, each bin entirely on one worker.
+	// Each worker starts on a contiguous, thread-weighted segment of the
+	// bin tour and refills by stealing half of the largest remaining one.
 	// Thread bodies must then be safe to run concurrently with each
 	// other. 0 or 1 runs everything on the calling goroutine.
 	Workers int
-	// Dispatch selects the bin dispatch policy for Workers > 1; the zero
-	// value is DispatchSegmented (contiguous weighted tour segments with
-	// chunked stealing).
-	Dispatch Dispatch
-	// StealChunk bounds how many bins one segment claim (or one narrow
-	// hierarchical steal) takes at a time; 0 selects DefaultStealChunk.
-	// Smaller chunks expose more work to thieves, larger ones amortize the
-	// per-claim atomic over longer contiguous runs.
-	StealChunk int
-	// Topology describes the cache hierarchy for hierarchical scheduling
-	// (innermost level first; see Topology and ParseTopology). Nil — the
-	// default — keeps the flat single-level dispatch. A non-nil topology
-	// routes parallel runs through the bin tree: tour bins group into
-	// nested bubbles sized to each cache level, initial worker segments
-	// cut along subtree boundaries, and steals pick victims by cache
-	// distance with a per-level width policy. A 1-level topology is the
-	// flat dispatch expressed through the tree and behaves identically.
-	// DepScheduler does not consult it: its parallel executor has no
-	// partition to cut.
-	Topology *Topology
 	// CriticalPathFirst orders DepScheduler execution by longest remaining
 	// dependence path (precomputed once per DAG) so chains drain before
 	// leaves: the serial executor visits the bins holding the tallest
@@ -249,9 +202,9 @@ func defaultForkShards() int {
 // the R8000's 2 MB second-level cache, the paper's primary machine.
 const DefaultCacheSize = 2 << 20
 
-// DefaultStealChunk is the default bound on bins claimed per segment
-// take; small enough that a nearly-drained segment still exposes work to
-// thieves, large enough to amortize the claim's CAS.
+// DefaultStealChunk bounds the bins a worker claims from its segment in
+// one take; small enough that a nearly-drained segment still exposes
+// work to thieves, large enough to amortize the claim's CAS.
 const DefaultStealChunk = 16
 
 // DefaultBlockSize returns the default per-dimension block size for a

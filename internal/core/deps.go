@@ -43,8 +43,7 @@ import (
 // slack: each thread's longest remaining dependence path is computed once
 // per DAG, the serial executor visits bins holding the tallest chains
 // first each round, and the parallel executor's ready heap yields the
-// tallest chain first — so chains retire ahead of leaves. DepScheduler
-// does not consult Config.Topology.
+// tallest chain first — so chains retire ahead of leaves.
 type DepScheduler struct {
 	sched *Scheduler // reuses binning via an internal fork of metadata
 

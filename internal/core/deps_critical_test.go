@@ -65,46 +65,40 @@ func TestCriticalPathFirstSerialOrder(t *testing.T) {
 // exactly once and respect all dependence edges.
 func TestCriticalPathFirstEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		for _, topoSpec := range []string{"", "8k:2,64k:4"} {
-			topo, err := ParseTopology(topoSpec)
-			if err != nil {
-				t.Fatal(err)
+		d := NewDep(Config{CacheSize: 1 << 20, BlockSize: 1 << 12,
+			Workers: workers, CriticalPathFirst: true})
+		const n = 800
+		var mu sync.Mutex
+		done := make([]bool, n)
+		var deps []ThreadID
+		for i := 0; i < n; i++ {
+			i := i
+			var pre []ThreadID
+			if i >= 3 && i%3 != 0 {
+				pre = append(pre, deps[i-3])
 			}
-			d := NewDep(Config{CacheSize: 1 << 20, BlockSize: 1 << 12,
-				Workers: workers, CriticalPathFirst: true, Topology: topo})
-			const n = 800
-			var mu sync.Mutex
-			done := make([]bool, n)
-			var deps []ThreadID
-			for i := 0; i < n; i++ {
-				i := i
-				var pre []ThreadID
-				if i >= 3 && i%3 != 0 {
-					pre = append(pre, deps[i-3])
-				}
-				if i >= 7 && i%7 == 0 {
-					pre = append(pre, deps[i-7])
-				}
-				id := d.Fork(func(int, int) {
-					mu.Lock()
-					defer mu.Unlock()
-					for _, p := range pre {
-						if !done[p] {
-							t.Errorf("thread %d ran before dependence %d", i, p)
-						}
+			if i >= 7 && i%7 == 0 {
+				pre = append(pre, deps[i-7])
+			}
+			id := d.Fork(func(int, int) {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, p := range pre {
+					if !done[p] {
+						t.Errorf("thread %d ran before dependence %d", i, p)
 					}
-					done[i] = true
-				}, i, 0, uint64(i%13)<<12, 0, 0, pre...)
-				deps = append(deps, id)
-			}
-			if err := d.Run(); err != nil {
-				t.Fatalf("workers=%d topo=%q: %v", workers, topoSpec, err)
-			}
-			d.Close()
-			for i, ok := range done {
-				if !ok {
-					t.Fatalf("workers=%d topo=%q: thread %d never ran", workers, topoSpec, i)
 				}
+				done[i] = true
+			}, i, 0, uint64(i%13)<<12, 0, 0, pre...)
+			deps = append(deps, id)
+		}
+		if err := d.Run(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		d.Close()
+		for i, ok := range done {
+			if !ok {
+				t.Fatalf("workers=%d: thread %d never ran", workers, i)
 			}
 		}
 	}

@@ -56,11 +56,10 @@ func gridDAG(iters, cols int) depDAG {
 }
 
 // TestDepSchedulerDataflowOrder pins the parallel executor's contract on
-// SOR-shaped and random DAGs, under every ordering and topology setting
-// (flat, CriticalPathFirst, a two-level Topology, which DepScheduler
-// ignores): atomic start and finish stamps show that every thread starts
-// after each of its own predecessors finished, and every thread runs
-// exactly once.
+// SOR-shaped and random DAGs, under both orderings (bin-and-fork order
+// and CriticalPathFirst): atomic start and finish stamps show that every
+// thread starts after each of its own predecessors finished, and every
+// thread runs exactly once.
 func TestDepSchedulerDataflowOrder(t *testing.T) {
 	dags := map[string]depDAG{
 		"grid":    gridDAG(7, 23),
@@ -68,41 +67,38 @@ func TestDepSchedulerDataflowOrder(t *testing.T) {
 		"random2": randomDAG(2, 600, 9),
 		"random3": randomDAG(3, 300, 3),
 	}
-	topo := mustTopo(t, "8k:2,64k:4")
 	for name, g := range dags {
 		for _, workers := range []int{2, 4} {
 			for _, critical := range []bool{false, true} {
-				for _, tp := range []*Topology{nil, topo} {
-					label := fmt.Sprintf("%s workers=%d critical=%v topo=%v", name, workers, critical, tp != nil)
-					d := NewDep(Config{CacheSize: 1 << 20, BlockSize: 1 << 12, Workers: workers,
-						CriticalPathFirst: critical, Topology: tp})
-					var clock atomic.Int64
-					start := make([]int64, len(g.deps))
-					finish := make([]int64, len(g.deps))
-					runs := make([]int32, len(g.deps))
-					for i := range g.deps {
-						d.Fork(func(i, _ int) {
-							atomic.AddInt32(&runs[i], 1)
-							atomic.StoreInt64(&start[i], clock.Add(1))
-							atomic.StoreInt64(&finish[i], clock.Add(1))
-						}, i, 0, g.hint[i], 0, 0, g.deps[i]...)
+				label := fmt.Sprintf("%s workers=%d critical=%v", name, workers, critical)
+				d := NewDep(Config{CacheSize: 1 << 20, BlockSize: 1 << 12, Workers: workers,
+					CriticalPathFirst: critical})
+				var clock atomic.Int64
+				start := make([]int64, len(g.deps))
+				finish := make([]int64, len(g.deps))
+				runs := make([]int32, len(g.deps))
+				for i := range g.deps {
+					d.Fork(func(i, _ int) {
+						atomic.AddInt32(&runs[i], 1)
+						atomic.StoreInt64(&start[i], clock.Add(1))
+						atomic.StoreInt64(&finish[i], clock.Add(1))
+					}, i, 0, g.hint[i], 0, 0, g.deps[i]...)
+				}
+				if d.BinsUsed() < 3 {
+					t.Fatalf("%s: %d bins, want at least 3", label, d.BinsUsed())
+				}
+				err := d.Run()
+				d.Close()
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				for i, deps := range g.deps {
+					if runs[i] != 1 {
+						t.Fatalf("%s: thread %d ran %d times", label, i, runs[i])
 					}
-					if d.BinsUsed() < 3 {
-						t.Fatalf("%s: %d bins, want at least 3", label, d.BinsUsed())
-					}
-					err := d.Run()
-					d.Close()
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					for i, deps := range g.deps {
-						if runs[i] != 1 {
-							t.Fatalf("%s: thread %d ran %d times", label, i, runs[i])
-						}
-						for _, p := range deps {
-							if start[i] < finish[p] {
-								t.Fatalf("%s: thread %d started before its predecessor %d finished", label, i, p)
-							}
+					for _, p := range deps {
+						if start[i] < finish[p] {
+							t.Fatalf("%s: thread %d started before its predecessor %d finished", label, i, p)
 						}
 					}
 				}

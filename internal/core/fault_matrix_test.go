@@ -13,11 +13,10 @@ import (
 
 // The fault-injection matrix: a deterministic injected panic at the
 // first, middle, and last thread of a run, across every execution path —
-// serial, segmented parallel, atomic parallel, dependence-serial, and
-// wavefront (DepScheduler's parallel dataflow executor) — must be
-// contained into a typed error, quiesce without leaking goroutines, and
-// leave the scheduler reusable. These tests are
-// part of the -race suite; the detector verifies the containment paths
+// serial, segmented parallel, dependence-serial, and wavefront
+// (DepScheduler's parallel dataflow executor) — must be contained into a
+// typed error, quiesce without leaking goroutines, and leave the
+// scheduler reusable. These tests are part of the -race suite; the detector verifies the containment paths
 // carry the same happens-before edges as normal completion.
 
 const matrixThreads = 600
@@ -90,15 +89,12 @@ func depVariant(name string, cfg Config) matrixVariant {
 
 func matrixVariants() []matrixVariant {
 	base := Config{CacheSize: 1 << 20, BlockSize: 1 << 12}
-	seg, atm, wave := base, base, base
+	seg, wave := base, base
 	seg.Workers = 4
-	atm.Workers = 4
-	atm.Dispatch = DispatchAtomic
 	wave.Workers = 4
 	return []matrixVariant{
 		schedVariant("serial", base),
 		schedVariant("segmented", seg),
-		schedVariant("atomic", atm),
 		depVariant("dep-serial", base),
 		depVariant("wavefront", wave),
 	}

@@ -78,27 +78,12 @@ func packRange(lo, hi int) uint64 { return uint64(uint32(lo))<<32 | uint64(uint3
 
 func unpackRange(v uint64) (lo, hi int) { return int(int32(v >> 32)), int(int32(v)) }
 
-// next claims the segment's lowest unclaimed index.
-func (g *binSegment) next() (int, bool) {
-	for {
-		v := g.bounds.Load()
-		lo, hi := unpackRange(v)
-		if lo >= hi {
-			return 0, false
-		}
-		if g.bounds.CompareAndSwap(v, packRange(lo+1, hi)) {
-			return lo, true
-		}
-	}
-}
-
 // take claims a contiguous run of the segment's lowest unclaimed indexes:
-// an eighth of the remainder, at least one, at most chunk (the
-// Config.StealChunk knob, or the owning level's override under a
-// hierarchical topology). Batching the claim cuts dispatch to one atomic
-// per chunk of bins while leaving the bulk of the segment in the shared
-// word where stealHalf can still get at it — claimed bins are the
-// owner's, exactly as if next() had claimed them one by one. A small
+// an eighth of the remainder, at least one, at most chunk
+// (DefaultStealChunk in production). Batching the claim cuts dispatch to
+// one atomic per chunk of bins while leaving the bulk of the segment in
+// the shared word where stealHalf can still get at it — claimed bins are
+// the owner's, exactly as if they had been claimed one by one. A small
 // chunk keeps the work exposed to thieves shrinking in fine steps near
 // the end of a run; a large one amortizes the CAS over longer runs.
 func (g *binSegment) take(chunk int) (lo, hi int, ok bool) {
@@ -129,73 +114,39 @@ func (g *binSegment) remaining() int {
 
 // stealHalf detaches the upper half of the segment's remaining range,
 // leaving the lower half (at least one index) to the owner so the owner
-// keeps advancing through adjacent bins.
+// keeps advancing through adjacent bins. A segment with one index left is
+// never stolen.
 func (g *binSegment) stealHalf() (lo, hi int, ok bool) {
-	return g.detachUpper(func(l, h int) int { return l + (h-l+1)/2 })
-}
-
-// detachUpper atomically detaches the upper part [cut, hi) of the
-// segment's remaining range, where cut = compute(lo, hi) clamped so the
-// owner keeps at least one index and the thief gets at least one. The
-// hierarchical steal policies are all instances of this: a narrow steal
-// computes hi-chunk, a wide steal computes the nearest subtree boundary.
-func (g *binSegment) detachUpper(compute func(lo, hi int) int) (lo, hi int, ok bool) {
 	for {
 		v := g.bounds.Load()
 		l, h := unpackRange(v)
 		if h-l <= 1 {
 			return 0, 0, false
 		}
-		cut := compute(l, h)
-		if cut <= l {
-			cut = l + 1
-		}
-		if cut >= h {
-			cut = h - 1
-		}
+		cut := l + (h-l+1)/2
 		if g.bounds.CompareAndSwap(v, packRange(l, cut)) {
 			return cut, h, true
 		}
 	}
 }
 
-// runParallel executes bins across Workers goroutines; each bin runs
+// runSegmented executes bins across Workers goroutines; each bin runs
 // entirely on one worker so the per-bin working set still fits one cache.
 // Containment and cancellation are cooperative: every worker checks the
 // shared runControl once per bin, so a panic on one worker (recovered
 // into the control) or an expired ctx stops the whole pool at bin
-// granularity, after which fanOut's barrier guarantees quiescence.
-func (s *Scheduler) runParallel(ctx context.Context, order []*bin) error {
-	workers := s.cfg.Workers
-	if workers > len(order) {
-		workers = len(order)
-	}
+// granularity, after which fanOut's barrier guarantees quiescence. With
+// observability attached, each contiguous drain (the initial segment and
+// every stolen refill) is timed into sched.segment_drain_ns and spanned
+// on the worker's timeline track, and sched.steals counts successful
+// refills per thief.
+func (s *Scheduler) runSegmented(ctx context.Context, order []*bin) error {
 	ctrl := newRunControl(ctx)
-	switch {
-	case s.cfg.Dispatch == DispatchAtomic:
-		s.runAtomic(order, workers, ctrl)
-	case s.cfg.Topology != nil:
-		// Hierarchical dispatch: tree-aligned segments with per-level
-		// stealing. A 1-level topology reproduces the flat segmented
-		// dispatch exactly (see tree.go and tree_dispatch.go).
-		s.runTree(order, workers, ctrl)
-	default:
-		s.runSegmented(order, workers, ctrl)
-	}
-	return ctrl.err()
-}
-
-// runSegmented is the default dispatch: weighted contiguous tour segments
-// plus chunked stealing. With observability attached, each contiguous
-// drain (the initial segment and every stolen refill) is timed into
-// sched.segment_drain_ns and spanned on the worker's timeline track, and
-// sched.steals counts successful refills per thief.
-func (s *Scheduler) runSegmented(order []*bin, workers int, ctrl *runControl) {
 	weights := make([]int, len(order))
 	for i, b := range order {
 		weights[i] = b.threads
 	}
-	starts := PartitionWeights(weights, workers)
+	starts := PartitionWeights(weights, s.cfg.Workers)
 	segs := make([]binSegment, len(starts))
 	for i := range segs {
 		hi := len(order)
@@ -204,14 +155,13 @@ func (s *Scheduler) runSegmented(order []*bin, workers int, ctrl *runControl) {
 		}
 		segs[i].bounds.Store(packRange(starts[i], hi))
 	}
-	chunk := s.cfg.StealChunk
 	s.fanOut(len(segs), "run", func(self int) {
 		for {
 			start := s.met.now()
 			sp := s.met.span(self, "drain")
 			bins, threads := 0, 0
 			for !ctrl.halted() {
-				lo, hi, ok := segs[self].take(chunk)
+				lo, hi, ok := segs[self].take(DefaultStealChunk)
 				if !ok {
 					break
 				}
@@ -236,6 +186,7 @@ func (s *Scheduler) runSegmented(order []*bin, workers int, ctrl *runControl) {
 			s.met.steals.Inc(self)
 		}
 	})
+	return ctrl.err()
 }
 
 // stealInto moves half of the largest remaining segment into segs[self]
@@ -266,33 +217,6 @@ func stealInto(segs []binSegment, self int, ctrl *runControl) bool {
 		// Lost the race to the victim's own progress; rescan.
 	}
 	return false
-}
-
-// runAtomic is the legacy dispatch kept as a comparison baseline: workers
-// claim bins one at a time from a shared counter, so tour neighbours land
-// on different workers.
-func (s *Scheduler) runAtomic(order []*bin, workers int, ctrl *runControl) {
-	var next int64 = -1
-	s.fanOut(workers, "run", func(self int) {
-		start := s.met.now()
-		sp := s.met.span(self, "atomic-drain")
-		bins, threads := 0, 0
-		for !ctrl.halted() {
-			i := atomic.AddInt64(&next, 1)
-			if i >= int64(len(order)) {
-				break
-			}
-			n, perr := s.runBinContained(order[i], int(i), self, "run")
-			threads += n
-			bins++
-			if perr != nil {
-				ctrl.record(perr)
-				break
-			}
-		}
-		s.met.threadsRun.Add(self, uint64(threads))
-		s.met.drainDone(self, start, bins, sp)
-	})
 }
 
 // fanOut runs fn(0..n-1) concurrently: fn(0) on the calling goroutine and

@@ -105,27 +105,25 @@ func TestShardedForkMatchesSerialBinning(t *testing.T) {
 	}
 }
 
-// TestParallelRunWorkerCounts runs both dispatch policies at worker
+// TestParallelRunWorkerCounts runs the segmented dispatcher at worker
 // counts {2, 4, NumCPU} and checks every thread runs exactly once.
 func TestParallelRunWorkerCounts(t *testing.T) {
 	workerCounts := []int{2, 4, runtime.NumCPU()}
 	for _, w := range workerCounts {
-		for _, d := range []Dispatch{DispatchSegmented, DispatchAtomic} {
-			s := New(Config{CacheSize: 1 << 20, BlockSize: 1 << 13, Workers: w, Dispatch: d})
-			const n = 4000
-			counts := make([]int32, n)
-			for i := 0; i < n; i++ {
-				// Skewed bin sizes: low blocks get the bulk of the
-				// threads, exercising weighted partitioning and stealing.
-				s.Fork(func(a1, _ int) { atomic.AddInt32(&counts[a1], 1) }, i, 0,
-					uint64(i%(8+i%29))<<13, 0, 0)
-			}
-			s.Run(false)
-			s.Close()
-			for i, c := range counts {
-				if c != 1 {
-					t.Fatalf("workers=%d dispatch=%v: thread %d ran %d times", w, d, i, c)
-				}
+		s := New(Config{CacheSize: 1 << 20, BlockSize: 1 << 13, Workers: w})
+		const n = 4000
+		counts := make([]int32, n)
+		for i := 0; i < n; i++ {
+			// Skewed bin sizes: low blocks get the bulk of the
+			// threads, exercising weighted partitioning and stealing.
+			s.Fork(func(a1, _ int) { atomic.AddInt32(&counts[a1], 1) }, i, 0,
+				uint64(i%(8+i%29))<<13, 0, 0)
+		}
+		s.Run(false)
+		s.Close()
+		for i, c := range counts {
+			if c != 1 {
+				t.Fatalf("workers=%d: thread %d ran %d times", w, i, c)
 			}
 		}
 	}
@@ -154,6 +152,40 @@ func TestSegmentedRunKeepsBinsOnOneWorker(t *testing.T) {
 	for b := range perBin {
 		got += len(perBin[b])
 		// Within a bin, fork order is preserved (group FIFO on one worker).
+		for i := 1; i < len(perBin[b]); i++ {
+			if perBin[b][i] < perBin[b][i-1] {
+				t.Fatalf("bin %d ran out of fork order: %v", b, perBin[b])
+			}
+		}
+	}
+	if got != total {
+		t.Fatalf("ran %d threads, want %d", got, total)
+	}
+}
+
+// TestTreeRunKeepsBinsOnOneWorker is TestSegmentedRunKeepsBinsOnOneWorker
+// under steal pressure: eight workers over bins of very uneven size, so
+// workers that finish light segments keep stealing from heavy ones.
+// Per-bin slices are appended without synchronization, so the race
+// detector, not just the count check, enforces that no bin is split.
+func TestTreeRunKeepsBinsOnOneWorker(t *testing.T) {
+	const bins = 64
+	s := New(Config{CacheSize: 1 << 20, BlockSize: 1 << 12, Workers: 8})
+	perBin := make([][]int, bins)
+	total := 0
+	for b := 0; b < bins; b++ {
+		b := b
+		for j := 0; j < 1+(b%7)*15; j++ {
+			s.Fork(func(a1, _ int) { perBin[b] = append(perBin[b], a1) }, j, 0,
+				uint64(b)<<12, 0, 0)
+			total++
+		}
+	}
+	s.Run(false)
+	s.Close()
+	got := 0
+	for b := range perBin {
+		got += len(perBin[b])
 		for i := 1; i < len(perBin[b]); i++ {
 			if perBin[b][i] < perBin[b][i-1] {
 				t.Fatalf("bin %d ran out of fork order: %v", b, perBin[b])

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -103,8 +104,8 @@ func TestBinSegmentClaimAndSteal(t *testing.T) {
 	if r := seg.remaining(); r != 7 {
 		t.Fatalf("remaining = %d, want 7", r)
 	}
-	if i, ok := seg.next(); !ok || i != 3 {
-		t.Fatalf("next = %d,%v", i, ok)
+	if lo, hi, ok := seg.take(1); !ok || lo != 3 || hi != 4 {
+		t.Fatalf("take(1) = [%d,%d),%v, want [3,4)", lo, hi, ok)
 	}
 	lo, hi, ok := seg.stealHalf()
 	if !ok || lo != 7 || hi != 10 { // 6 left in [4,10): thief takes [7,10)
@@ -112,11 +113,11 @@ func TestBinSegmentClaimAndSteal(t *testing.T) {
 	}
 	// Owner keeps [4,7).
 	for want := 4; want < 7; want++ {
-		if i, ok := seg.next(); !ok || i != want {
-			t.Fatalf("next = %d,%v, want %d", i, ok, want)
+		if lo, hi, ok := seg.take(1); !ok || lo != want || hi != want+1 {
+			t.Fatalf("take(1) = [%d,%d),%v, want [%d,%d)", lo, hi, ok, want, want+1)
 		}
 	}
-	if _, ok := seg.next(); ok {
+	if _, _, ok := seg.take(1); ok {
 		t.Fatal("segment not exhausted")
 	}
 	// A segment with one remaining index is never stolen.
@@ -124,11 +125,23 @@ func TestBinSegmentClaimAndSteal(t *testing.T) {
 	if _, _, ok := seg.stealHalf(); ok {
 		t.Fatal("stole the owner's last bin")
 	}
+	// A take claims an eighth of the remainder, at least one, at most
+	// chunk.
+	for _, c := range []struct{ n, chunk, want int }{
+		{100, DefaultStealChunk, 13}, {100, 4, 4}, {1000, DefaultStealChunk, DefaultStealChunk}, {3, 16, 1},
+	} {
+		seg.bounds.Store(packRange(0, c.n))
+		if lo, hi, ok := seg.take(c.chunk); !ok || lo != 0 || hi != c.want {
+			t.Fatalf("take(%d) of %d = [%d,%d),%v, want [0,%d)", c.chunk, c.n, lo, hi, ok, c.want)
+		}
+	}
 }
 
-// TestSegmentsClaimEachIndexOnce hammers next/steal from many goroutines
-// and verifies exactly-once claiming — the property the whole dispatch
-// rests on.
+// TestSegmentsClaimEachIndexOnce drives the production claim path — each
+// owner take(chunk)s its segment front to back while idle workers
+// stealInto it from the back — from many goroutines, at chunk sizes from
+// one bin up to DefaultStealChunk, and verifies exactly-once claiming:
+// the property the whole dispatch rests on. Run it under -race.
 func TestSegmentsClaimEachIndexOnce(t *testing.T) {
 	const n = 10000
 	const workers = 8
@@ -137,36 +150,129 @@ func TestSegmentsClaimEachIndexOnce(t *testing.T) {
 		weights[i] = 1 + i%13
 	}
 	starts := PartitionWeights(weights, workers)
-	segs := make([]binSegment, len(starts))
-	for i := range segs {
-		hi := n
-		if i+1 < len(starts) {
-			hi = starts[i+1]
+	for _, chunk := range []int{1, 4, DefaultStealChunk} {
+		segs := make([]binSegment, len(starts))
+		for i := range segs {
+			hi := n
+			if i+1 < len(starts) {
+				hi = starts[i+1]
+			}
+			segs[i].bounds.Store(packRange(starts[i], hi))
 		}
-		segs[i].bounds.Store(packRange(starts[i], hi))
-	}
-	claimed := make([]int32, n)
-	ctrl := newRunControl(context.Background())
-	var wg sync.WaitGroup
-	for w := 0; w < len(segs); w++ {
-		wg.Add(1)
-		go func(self int) {
-			defer wg.Done()
-			for {
-				if i, ok := segs[self].next(); ok {
-					claimed[i]++
-					continue
+		claimed := make([]int32, n)
+		ctrl := newRunControl(context.Background())
+		var wg sync.WaitGroup
+		for w := 0; w < len(segs); w++ {
+			wg.Add(1)
+			go func(self int) {
+				defer wg.Done()
+				for {
+					if lo, hi, ok := segs[self].take(chunk); ok {
+						for i := lo; i < hi; i++ {
+							atomic.AddInt32(&claimed[i], 1)
+						}
+						continue
+					}
+					if !stealInto(segs, self, ctrl) {
+						return
+					}
 				}
-				if !stealInto(segs, self, ctrl) {
+			}(w)
+		}
+		wg.Wait()
+		for i, c := range claimed {
+			if c != 1 {
+				t.Fatalf("chunk=%d: index %d claimed %d times", chunk, i, c)
+			}
+		}
+	}
+}
+
+// TestDetachUpperConcurrent hammers one segment with a draining owner and
+// two thieves detaching its upper half with stealHalf, checking every
+// index is claimed exactly once across all parties.
+func TestDetachUpperConcurrent(t *testing.T) {
+	const n = 1 << 14
+	var seg binSegment
+	seg.bounds.Store(packRange(0, n))
+	claimed := make([]int32, n)
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() { // owner drains from the front
+		defer wg.Done()
+		for {
+			lo, hi, ok := seg.take(4)
+			if !ok {
+				return
+			}
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&claimed[i], 1)
+			}
+		}
+	}()
+	thief := func() {
+		defer wg.Done()
+		for {
+			lo, hi, ok := seg.stealHalf()
+			if !ok {
+				if seg.remaining() == 0 {
 					return
 				}
+				continue // owner still holds the last index
 			}
-		}(w)
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&claimed[i], 1)
+			}
+		}
 	}
+	go thief()
+	go thief()
 	wg.Wait()
 	for i, c := range claimed {
 		if c != 1 {
 			t.Fatalf("index %d claimed %d times", i, c)
+		}
+	}
+}
+
+// TestStealChunkKnob checks the claim chunk: an owner draining alone
+// claims consecutive runs of at most chunk bins that cover its segment
+// once, and a parallel Run at the production chunk, DefaultStealChunk,
+// runs every thread of a skewed workload exactly once.
+func TestStealChunkKnob(t *testing.T) {
+	if DefaultStealChunk < 1 {
+		t.Fatalf("DefaultStealChunk = %d, want >= 1", DefaultStealChunk)
+	}
+	const n = 1000
+	for _, chunk := range []int{1, 2, 64, DefaultStealChunk} {
+		var seg binSegment
+		seg.bounds.Store(packRange(0, n))
+		next := 0
+		for {
+			lo, hi, ok := seg.take(chunk)
+			if !ok {
+				break
+			}
+			if lo != next || hi <= lo || hi-lo > chunk {
+				t.Fatalf("chunk=%d: take = [%d,%d), want a run of 1..%d from %d", chunk, lo, hi, chunk, next)
+			}
+			next = hi
+		}
+		if next != n {
+			t.Fatalf("chunk=%d: drained to %d, want %d", chunk, next, n)
+		}
+	}
+	s := New(Config{CacheSize: 1 << 20, BlockSize: 1 << 13, Workers: 4})
+	counts := make([]int32, 2000)
+	for i := range counts {
+		s.Fork(func(a1, _ int) { atomic.AddInt32(&counts[a1], 1) }, i, 0,
+			uint64(i%(8+i%29))<<13, 0, 0)
+	}
+	s.Run(false)
+	s.Close()
+	for i, c := range counts {
+		if c != 1 {
+			t.Fatalf("thread %d ran %d times", i, c)
 		}
 	}
 }

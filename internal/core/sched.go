@@ -120,10 +120,7 @@ func New(cfg Config) *Scheduler {
 	if cfg.GroupSize <= 0 {
 		cfg.GroupSize = DefaultGroupSize
 	}
-	if cfg.StealChunk <= 0 {
-		cfg.StealChunk = DefaultStealChunk
-	}
-	s := &Scheduler{cfg: cfg, met: newSchedObs(cfg.Obs, cfg.Topology)}
+	s := &Scheduler{cfg: cfg, met: newSchedObs(cfg.Obs)}
 	s.Init(cfg.BlockSize, uint64(cfg.HashDim))
 	return s
 }
@@ -185,10 +182,6 @@ func (s *Scheduler) HashDim() int { return s.hashDim }
 // Workers returns the configured parallel-run worker count; values below
 // two mean Run executes serially on the calling goroutine.
 func (s *Scheduler) Workers() int { return s.cfg.Workers }
-
-// Topology returns the cache topology parallel runs schedule against;
-// nil means flat single-level dispatch.
-func (s *Scheduler) Topology() *Topology { return s.cfg.Topology }
 
 // ConcurrentFork reports whether the scheduler was built with
 // Config.ParallelFork, i.e. whether Fork may be called from multiple
@@ -346,7 +339,7 @@ func (s *Scheduler) executeAll(ctx context.Context, order []*bin) error {
 	s.running.Store(true)
 	defer s.running.Store(false)
 	if s.cfg.Workers > 1 && len(order) > 1 {
-		return s.runParallel(ctx, order)
+		return s.runSegmented(ctx, order)
 	}
 	start := s.met.now()
 	sp := s.met.span(0, "run")

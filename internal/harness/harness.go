@@ -110,14 +110,6 @@ type Config struct {
 	// golden equivalence tests pin this).
 	Obs *obs.Obs
 
-	// Topology, when non-nil, threads a cache-hierarchy description into
-	// every scheduler this Config builds (core.Config.Topology). The
-	// simulated runs are single-worker, so the bin tour is unchanged — the
-	// golden equivalence tests pin a 1-level topology bit-identical to
-	// flat — but the per-level metrics and the tree partition become
-	// observable for the hierarchical sweeps.
-	Topology *core.Topology
-
 	// Context, when non-nil, bounds every table this Config runs — and
 	// every job inside it, mid-run: once the context is done, no further
 	// simulation job starts, and running jobs cancel at their next

@@ -14,14 +14,12 @@ import (
 
 // schedOverride builds a scheduler for a threaded variant: blockSize 0
 // selects the variant's paper default; tour selects the bin traversal;
-// obs and topo (set by the runner constructors from Config.Obs and
-// Config.Topology) attach the observability layer and the cache-hierarchy
-// description.
+// obs (set by the runner constructors from Config.Obs) attaches the
+// observability layer.
 type schedOverride struct {
 	blockSize uint64
 	tour      core.TourOrder
 	obs       *obs.Obs
-	topo      *core.Topology
 }
 
 func (o schedOverride) build(l2 uint64, defaultBlock uint64) *core.Scheduler {
@@ -29,7 +27,7 @@ func (o schedOverride) build(l2 uint64, defaultBlock uint64) *core.Scheduler {
 	if block == 0 {
 		block = defaultBlock
 	}
-	return core.New(core.Config{CacheSize: l2, BlockSize: block, Tour: o.tour, Obs: o.obs, Topology: o.topo})
+	return core.New(core.Config{CacheSize: l2, BlockSize: block, Tour: o.tour, Obs: o.obs})
 }
 
 // Matrix multiply runners (Tables 2, 3; Figure 4).
@@ -49,7 +47,6 @@ const (
 func (c Config) matmulRunner(v MatmulVariant, m machine.Machine, o schedOverride) runner {
 	n := c.MatmulN
 	o.obs = c.Obs
-	o.topo = c.Topology
 	return func(cpu *sim.CPU, as *vm.AddressSpace) *core.Scheduler {
 		tr := matmul.NewTraced(cpu, as, n)
 		switch v {
@@ -97,7 +94,6 @@ const (
 func (c Config) pdeRunner(v PDEVariant, m machine.Machine, o schedOverride) runner {
 	n, iters := c.PDEN, c.PDEIters
 	o.obs = c.Obs
-	o.topo = c.Topology
 	return func(cpu *sim.CPU, as *vm.AddressSpace) *core.Scheduler {
 		g := pde.NewTracedGrid(cpu, as, n)
 		switch v {
@@ -141,7 +137,6 @@ const (
 func (c Config) sorRunner(v SORVariant, m machine.Machine, o schedOverride) runner {
 	n, iters := c.SORN, c.SORIters
 	o.obs = c.Obs
-	o.topo = c.Topology
 	return func(cpu *sim.CPU, as *vm.AddressSpace) *core.Scheduler {
 		tr := sor.NewTracedArray(cpu, as, n)
 		switch v {
@@ -188,7 +183,6 @@ const (
 func (c Config) nbodyRunner(v NBodyVariant, m machine.Machine, steps int, o schedOverride) runner {
 	n := c.NBodyN
 	o.obs = c.Obs
-	o.topo = c.Topology
 	return func(cpu *sim.CPU, as *vm.AddressSpace) *core.Scheduler {
 		s := nbody.NewSystem(n, 42)
 		tr := nbody.NewTracer(cpu, as, n)

@@ -22,14 +22,14 @@ const (
 	Scatter
 	// SegmentTour partitions the bin tour into contiguous segments
 	// weighted by thread count, one per processor — the assignment the
-	// core scheduler's parallel Run uses (core.DispatchSegmented).
+	// core scheduler's parallel Run starts from before any stealing.
 	// Spatially adjacent bins share a processor, so the read-mostly data
 	// they share stays in one private cache instead of ping-ponging.
 	SegmentTour
 	// InterleaveBins assigns whole bins round-robin across processors —
-	// the assignment the legacy atomic-counter dispatch
-	// (core.DispatchAtomic) converges to: bins stay intact, but tour
-	// neighbours always land on different processors.
+	// the assignment a dispatcher that deals bins one at a time from a
+	// shared counter converges to: bins stay intact, but tour neighbours
+	// always land on different processors.
 	InterleaveBins
 )
 
@@ -123,8 +123,8 @@ func (d *dispatcher) Run(keep bool) {
 
 // CompareDispatch runs the N-body step under segment-tour and
 // interleaved-bin dispatch on the same simulated machine — the coherence
-// counterpart of the core scheduler's DispatchSegmented vs DispatchAtomic
-// choice. Both keep bins intact; the difference is purely whether tour
+// case for the core scheduler dealing contiguous tour segments rather
+// than single bins from a shared counter. Both keep bins intact; the difference is purely whether tour
 // neighbours share a processor, so the invalidation delta isolates the
 // cross-bin adjacency effect.
 func CompareDispatch(m machine.Machine, procs, n int, coherence bool) (segment, interleave Result, err error) {

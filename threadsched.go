@@ -54,25 +54,7 @@ type (
 	Stats = core.Stats
 	// RunStats snapshots one Run call's bin occupancy.
 	RunStats = core.RunStats
-	// Dispatch selects how a parallel Run hands bins to workers.
-	Dispatch = core.Dispatch
-	// Topology describes a cache hierarchy for hierarchical scheduling
-	// (Config.Topology); nil keeps the flat single-level dispatch.
-	Topology = core.Topology
-	// TopoLevel is one cache level of a Topology, innermost first.
-	TopoLevel = core.TopoLevel
 )
-
-// NewTopology validates cache levels (innermost first) and builds a
-// Topology for Config.Topology.
-func NewTopology(levels ...TopoLevel) (*Topology, error) {
-	return core.NewTopology(levels...)
-}
-
-// ParseTopology parses a "32k:2,256k:8,8m:64"-style topology spec
-// (capacity:workers[:stealchunk] per level, innermost first); "" and
-// "flat" yield nil, the flat dispatch.
-func ParseTopology(spec string) (*Topology, error) { return core.ParseTopology(spec) }
 
 // Tour orders for Config.Tour.
 const (
@@ -82,17 +64,6 @@ const (
 	TourMorton = core.TourMorton
 	// TourHilbert visits bins along a 3-D Hilbert curve.
 	TourHilbert = core.TourHilbert
-)
-
-// Dispatch policies for Config.Dispatch (Workers > 1).
-const (
-	// DispatchSegmented hands each worker a contiguous thread-weighted
-	// segment of the bin tour, with chunked stealing for balance
-	// (default).
-	DispatchSegmented = core.DispatchSegmented
-	// DispatchAtomic is the legacy one-bin-at-a-time atomic-counter
-	// dispatch, kept as a comparison baseline.
-	DispatchAtomic = core.DispatchAtomic
 )
 
 // MaxHints is the number of address hints a thread may carry.
