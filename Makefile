@@ -14,8 +14,9 @@
 #   make fuzz-smoke — short bursts of the trace-format fuzzers (reader
 #                  robustness + chunk/trailer integrity oracle + sharded
 #                  decode differential + sliced-simulation differential),
-#                  the cache simulator's differential against its naive
-#                  reference model, the daemon's request-decode fuzzer
+#                  the cache simulator's and the cache hierarchy's
+#                  differentials against their naive reference models,
+#                  the daemon's request-decode fuzzer
 #                  and the job journal's replay fuzzer
 #   make guard-pipeline — the opt-in throughput tripwire: fails if the
 #                  default pipelined reference-stream path loses its
@@ -70,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzShardedDecode -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzSliceRouter -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzCacheMatchesReference -fuzztime 10s ./internal/cache/
+	$(GO) test -run '^$$' -fuzz FuzzHierarchyMatchesReference -fuzztime 10s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/journal/
 

@@ -224,29 +224,63 @@ func (c *Cache) AccessRead(addr uint64) bool { return c.access(addr>>c.lineShift
 // AccessWrite is Access for a write.
 func (c *Cache) AccessWrite(addr uint64) bool { return c.access(addr>>c.lineShift, true) }
 
-// set returns the ways of the set line ln maps to.
+// set returns the ways of the set line ln maps to. Masking the shift
+// tells the compiler it is below 64, which drops the fix-up Go's shift
+// semantics need for larger counts from every access; mruHit does the
+// same.
 func (c *Cache) set(ln uint64) []line {
-	base := (ln & c.setMask) << c.wayShift
-	return c.lines[base : base+1<<c.wayShift]
+	base := (ln & c.setMask) << (c.wayShift & 63)
+	return c.lines[base : base+1<<(c.wayShift&63)]
 }
 
-// access is the one per-access core behind every entry point: the MRU-way
-// test, then, if that does not resolve the access, the full lookup.
+// access presents one access to line ln and reports whether it hit. It
+// is the whole per-access path of a cache level, behind every entry
+// point: the counters and the shadow touch a classified cache needs,
+// then way 0 of the set, whose hit reorders nothing under any policy,
+// then the other ways with the LRU refresh. The miss half is out of
+// line in miss, so the hit path stays short.
 func (c *Cache) access(ln uint64, write bool) bool {
-	return c.mruHit(ln, write) || c.lookup(ln, write)
+	if write {
+		c.stats.Writes++
+	} else {
+		c.stats.Reads++
+	}
+	shadowHit := c.shadow == nil || c.shadow.isHead(ln) || c.shadow.touch(ln)
+	set := c.set(ln)
+	if w := &set[0]; w.valid && w.ln == ln {
+		if write {
+			// Lines are dirty only under write-back; write-through never sets it.
+			w.dirty = c.wbAlloc
+		}
+		return true
+	}
+	for i := 1; i < len(set); i++ {
+		if set[i].valid && set[i].ln == ln {
+			// Under LRU, refresh to the MRU position; FIFO and random
+			// replacement leave residency order alone.
+			dirty := set[i].dirty || write && c.wbAlloc
+			if c.lru {
+				shiftDown(set[:i+1])
+				i = 0
+			}
+			set[i] = line{ln: ln, valid: true, dirty: dirty}
+			return true
+		}
+	}
+	c.miss(set, ln, write, shadowHit)
+	return false
 }
 
-// mruHit resolves an access that hits way 0 of its set, reporting false
-// (having changed nothing) for every other access. Such a hit changes
-// nothing but the read/write counters and the dirty bit under every
-// policy — LRU would move way 0 to way 0, and FIFO and random never
-// reorder on a hit — so it needs no set search. A classified cache must
-// also leave its shadow fully-associative model unchanged, which holds
-// only when ln is already the shadow's most recent line. mruHit is small
-// enough to inline, so the hierarchy's reference loop resolves these
-// hits without a call.
+// mruHit is the inlinable pre-check the hierarchy makes before calling
+// access on a first-level cache: it resolves an access that hits way 0
+// of its set, reporting false (having changed nothing) for every other
+// access. Such a hit changes only the read/write counters and the dirty
+// bit under every policy — LRU would move way 0 to way 0, and FIFO and
+// random never reorder on a hit. A classified cache must also leave its
+// shadow fully-associative model unchanged, which holds only when ln is
+// already the shadow's most recent line.
 func (c *Cache) mruHit(ln uint64, write bool) bool {
-	w := &c.lines[(ln&c.setMask)<<c.wayShift]
+	w := &c.lines[(ln&c.setMask)<<(c.wayShift&63)]
 	if !w.valid || w.ln != ln || c.shadow != nil && !c.shadow.isHead(ln) {
 		return false
 	}
@@ -260,32 +294,10 @@ func (c *Cache) mruHit(ln uint64, write bool) bool {
 	return true
 }
 
-// lookup is the rest of access: shadow touch, a search of the whole set,
-// recency refresh and miss handling.
-func (c *Cache) lookup(ln uint64, write bool) bool {
-	if write {
-		c.stats.Writes++
-	} else {
-		c.stats.Reads++
-	}
-	shadowHit := true
-	if c.shadow != nil {
-		shadowHit = c.shadow.touch(ln)
-	}
-	set := c.set(ln)
-	if i := find(set, ln); i >= 0 {
-		// Hit. Under LRU, refresh to the MRU position; FIFO and random
-		// replacement leave residency order alone.
-		dirty := set[i].dirty || write && c.wbAlloc
-		if c.lru {
-			shiftDown(set[:i+1])
-			i = 0
-		}
-		set[i] = line{ln: ln, valid: true, dirty: dirty}
-		return true
-	}
-
-	// Miss.
+// miss completes an access to line ln that no way of set holds: the miss
+// counters and classification, then allocation and next-line prefetch.
+// shadowHit is the classification shadow's verdict on ln.
+func (c *Cache) miss(set []line, ln uint64, write, shadowHit bool) {
 	c.stats.Misses++
 	if c.shadow != nil {
 		if !c.seen.testAndSet(ln) {
@@ -299,13 +311,14 @@ func (c *Cache) lookup(ln uint64, write bool) bool {
 	if write && c.noAlloc {
 		// Write misses do not allocate; the write goes to the next level
 		// (the hierarchy routes it).
-		return false
+		return
 	}
 	c.allocate(set, ln, write && c.wbAlloc)
-	if c.nextLine {
+	// The last line of the address space has no next line: ln+1 would
+	// wrap to line 0 (1-byte lines) or name a line no address maps to.
+	if c.nextLine && ln != ^uint64(0)>>c.lineShift {
 		c.prefetch(ln + 1)
 	}
-	return false
 }
 
 // prefetch installs line ln if absent, without touching demand counters.

@@ -88,80 +88,64 @@ func (h *Hierarchy) AttachTLB(t *vm.TLB) { h.tlb = t }
 
 // Record implements trace.Recorder, presenting one reference to the
 // hierarchy. References spanning a line boundary access each covered line.
-func (h *Hierarchy) Record(r trace.Ref) {
-	h.refs.ByKind[r.Kind]++
-	h.present(r)
-}
+// It is RecordBatch of one reference.
+func (h *Hierarchy) Record(r trace.Ref) { h.RecordBatch([]trace.Ref{r}) }
 
-// RecordBatch implements trace.BatchRecorder: the chunk is consumed in
-// order by the same per-reference core as Record, so the resulting
-// counters and cache state are bit-identical to the per-ref path — the
-// batch saves the interface dispatch and keeps the simulator's code and
-// branch history hot across the chunk instead of interleaving it with
-// the trace generator's. The kind tally is kept in a local for the
-// chunk; an out-of-range Kind panics on it before reaching any cache,
-// exactly as in Record.
+// RecordBatch implements trace.BatchRecorder, consuming the chunk in
+// order. The batch saves the interface dispatch per reference and keeps
+// the simulator's code and branch history hot across the chunk instead
+// of interleaving it with the trace generator's. The kind tally is kept
+// in a local for the chunk; an out-of-range Kind panics on it before
+// reaching any cache.
+//
+// Each reference goes to its first-level cache, line by line. Each
+// first-level miss, and under write-through each write, goes on to the
+// second level, translated through the page table if one is attached,
+// and each second-level miss on to the third. The loop body is the whole
+// per-reference path, with no call of its own, so that a first-level
+// hit on the set's MRU way, which the inlined mruHit resolves, costs no
+// call at all.
 func (h *Hierarchy) RecordBatch(refs []trace.Ref) {
 	byKind := h.refs.ByKind
 	for _, r := range refs {
 		byKind[r.Kind]++
-		h.present(r)
-	}
-	h.refs.ByKind = byKind
-}
-
-// present routes one reference to its first-level cache, line by line,
-// and sends each first-level miss (and, under write-through, each write)
-// on to the second level.
-func (h *Hierarchy) present(r trace.Ref) {
-	l1, write := h.l1d, false
-	switch r.Kind {
-	case trace.Store:
-		write = true
-		fallthrough
-	case trace.Load:
-		if h.tlb != nil {
+		l1, write := h.l1d, r.Kind == trace.Store
+		if r.Kind == trace.IFetch { // instruction cache, no data TLB
+			l1 = h.l1i
+		} else if h.tlb != nil {
 			h.tlb.Access(r.Addr)
 		}
-	default: // IFetch: instruction cache, no data TLB.
-		l1 = h.l1i
-	}
-	if lineSize := uint64(1) << l1.lineShift; r.Addr&(lineSize-1)+uint64(r.Size) <= lineSize {
-		// The reference lies in one line: the overwhelmingly common case.
-		// This is l1.access spelled out, so that mruHit inlines here.
 		ln := r.Addr >> l1.lineShift
-		if !(l1.mruHit(ln, write) || l1.lookup(ln, write)) || write && l1.noAlloc {
-			h.accessL2(r.Addr, write)
+		last := ln
+		if lineSize := uint64(1) << l1.lineShift; r.Addr&(lineSize-1)+uint64(r.Size) > lineSize {
+			// The reference covers bytes [Addr, end] across lines; a span
+			// past the top of the address space ends at its last line.
+			end := r.Addr + uint64(r.Size) - 1
+			if end < r.Addr {
+				end = ^uint64(0)
+			}
+			last = end >> l1.lineShift
 		}
-		return
-	}
-	// The reference covers bytes [Addr, end]; a span past the top of the
-	// address space ends at its last line.
-	end := r.Addr + uint64(r.Size) - 1
-	if end < r.Addr {
-		end = ^uint64(0)
-	}
-	last := end >> l1.lineShift
-	addr := r.Addr
-	for ln := addr >> l1.lineShift; ; {
-		if !l1.access(ln, write) || write && l1.noAlloc {
-			h.accessL2(addr, write)
+		for addr := r.Addr; ; {
+			// One test covers both outcomes, so that a write-through
+			// write is counted and forwarded exactly once.
+			if !(l1.mruHit(ln, write) || l1.access(ln, write)) || write && l1.noAlloc {
+				pa := addr
+				if h.pt != nil {
+					pa = h.pt.Translate(addr)
+				}
+				if !h.l2.access(pa>>h.l2.lineShift, write) && h.l3 != nil {
+					h.l3.access(pa>>h.l3.lineShift, write)
+				}
+			}
+			if ln == last {
+				break
+			}
+			ln++
+			addr = ln << l1.lineShift
 		}
-		if ln == last {
-			return
-		}
-		ln++
-		addr = ln << l1.lineShift
 	}
-}
-
-func (h *Hierarchy) accessL2(addr uint64, write bool) {
-	if h.pt != nil {
-		addr = h.pt.Translate(addr)
-	}
-	if !h.l2.Access(addr, write) && h.l3 != nil {
-		h.l3.Access(addr, write)
-	}
+	h.refs.ByKind = byKind
 }
 
 // L1I, L1D, and L2 expose the individual levels.

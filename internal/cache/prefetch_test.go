@@ -58,3 +58,20 @@ func TestPrefetchReducesColdMissesOnStreams(t *testing.T) {
 		t.Fatalf("compulsory = %d, want < 64 under next-line prefetch", got)
 	}
 }
+
+// The last line of the address space has no next line. Touching it must
+// not prefetch: with 1-byte lines line 0 would become resident, with
+// 64-byte lines a line no address maps to would, and either would evict
+// the dirty line written first, counting a writeback.
+func TestPrefetchStopsAtTopOfAddressSpace(t *testing.T) {
+	for _, lineSize := range []uint64{1, 64} {
+		c := mustCache(t, Config{Size: 2 * lineSize, LineSize: lineSize, Assoc: 1, Prefetch: true})
+		c.Access(2*lineSize, true) // dirty line 2 in set 0; prefetches line 3 into set 1
+		c.Access(1<<64-1, false)   // the last line, in set 1
+		st := c.Stats()
+		if st.Prefetches != 1 || st.Writebacks != 0 || !c.Contains(2*lineSize) || c.Contains(0) {
+			t.Errorf("%dB lines: %+v, resident %v; want one prefetch, no writeback, line 2 kept",
+				lineSize, st, c.ResidentLines())
+		}
+	}
+}

@@ -83,7 +83,8 @@ func (r *refCache) access(addr uint64, write bool) bool {
 		return false
 	}
 	r.insert(ln, write && r.cfg.Write == WriteBackAllocate)
-	if next := ln + 1; r.cfg.Prefetch && !r.resident(next) {
+	// The last line of the address space has no next line to prefetch.
+	if next := ln + 1; r.cfg.Prefetch && ln != ^uint64(0)/r.cfg.LineSize && !r.resident(next) {
 		r.stats.Prefetches++
 		r.insert(next, false)
 	}
