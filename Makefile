@@ -27,16 +27,6 @@
 #                  serial baseline at >=2 workers (skips on 1-CPU hosts)
 #   make bench   — one pass over every benchmark (smoke, not measurement)
 #   make bench-core — the fork/run pipeline benchmarks with real counts
-#   make bench-sim  — the simulation-pipeline benchmarks; writes a
-#                  versioned BENCH_SIM.json (refs/sec per stage, with
-#                  worker counts)
-#   make bench-apps — the native application-kernel benchmarks; writes a
-#                  versioned BENCH_APPS.json (serial vs threaded vs
-#                  parallel per app)
-#   make bench-replay — the trace-replay benchmarks (serial vs sharded
-#                  decode, decode-only + end-to-end per worker count);
-#                  writes a versioned BENCH_REPLAY.json
-#   make json    — regenerate BENCH_CORE.json at the quick geometry
 #   make timeline — demo the observability layer: run one table with
 #                  metrics + worker timeline attached, writing
 #                  metrics.json and timeline.json (load the latter in
@@ -44,7 +34,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race serve-smoke crash-smoke fuzz-smoke guard-pipeline guard-replay bench bench-core bench-sim bench-apps bench-replay json timeline
+.PHONY: check build vet test race serve-smoke crash-smoke fuzz-smoke guard-pipeline guard-replay bench bench-core timeline
 
 check: build vet test race serve-smoke crash-smoke
 
@@ -53,9 +43,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+	$(GO) -C benchmark vet ./...
 
 test:
 	$(GO) test -timeout 10m ./...
+	$(GO) -C benchmark test ./...
 
 race:
 	$(GO) test -race -timeout 10m ./internal/core/... ./internal/trace/... ./internal/obs/... ./internal/fault/... ./internal/sim/... ./internal/server/... ./internal/journal/... ./cmd/tracesim/...
@@ -115,18 +107,6 @@ bench:
 
 bench-core:
 	$(GO) test -run='^$$' -bench='BenchmarkParallelFork|BenchmarkPartitionedRun|BenchmarkTable1ThreadOverhead' .
-
-bench-sim:
-	$(GO) run ./cmd/locality-bench -size scaled -simbench BENCH_SIM.json
-
-bench-apps:
-	$(GO) run ./cmd/locality-bench -appbench BENCH_APPS.json
-
-bench-replay:
-	$(GO) run ./cmd/locality-bench -size scaled -replaybench BENCH_REPLAY.json
-
-json:
-	$(GO) run ./cmd/locality-bench -size quick -json BENCH_CORE.json
 
 timeline:
 	$(GO) run ./cmd/locality-bench -exp table2 -size quick -parallel 2 \

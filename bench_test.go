@@ -507,24 +507,20 @@ func encodeDecode(b *testing.B, refs []trace.Ref, sink trace.Recorder) int {
 }
 
 // BenchmarkSimModes measures one traced workload end to end — trace
-// generation plus cache simulation — through each reference-stream path
-// of the measurement pipeline (see internal/harness.Mode). All modes
-// produce bit-identical statistics; refs/s is the comparable quantity.
-// cmd/locality-bench -simbench runs the wider four-workload version and
-// records BENCH_SIM.json.
+// generation plus cache simulation — through the measurement pipeline,
+// the one production reference-stream path; refs/s is the comparable
+// quantity. make guard-pipeline times the same path against the
+// per-reference serial oracle, which lives in internal/harness's tests.
 func BenchmarkSimModes(b *testing.B) {
-	for _, mode := range []harness.Mode{harness.ModeSerial, harness.ModePipelined} {
-		b.Run(mode.String(), func(b *testing.B) {
-			c := quick()
-			c.Mode = mode
-			m := c.R8000()
-			var refs uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r := c.RunMatmul(harness.MatmulInterchanged, m)
-				refs += r.Summary.IFetches + r.Summary.DataRefs
-			}
-			b.ReportMetric(float64(refs)/b.Elapsed().Seconds(), "refs/s")
-		})
-	}
+	b.Run("pipeline", func(b *testing.B) {
+		c := quick()
+		m := c.R8000()
+		var refs uint64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r := c.RunMatmul(harness.MatmulInterchanged, m)
+			refs += r.Summary.IFetches + r.Summary.DataRefs
+		}
+		b.ReportMetric(float64(refs)/b.Elapsed().Seconds(), "refs/s")
+	})
 }

@@ -3,40 +3,18 @@
 //
 // Usage:
 //
-//	locality-bench [-exp all|table1..table9|figure4|ablations] [-size quick|scaled|full]
-//	               [-mode pipeline|serial] [-parallel N]
-//	               [-progress] [-list] [-json BENCH_CORE.json]
-//	               [-simbench BENCH_SIM.json] [-appbench BENCH_APPS.json]
-//	               [-replaybench BENCH_REPLAY.json]
+//	locality-bench [-exp all|table1..table9|figure4|ablations|modern]
+//	               [-size quick|scaled|full] [-format text|csv]
+//	               [-parallel N] [-progress] [-list]
 //	               [-metrics metrics.json] [-timeline timeline.json]
 //
-// -json additionally writes a machine-readable record of the run — wall
-// nanoseconds per experiment plus each table's attached metrics (bins
-// used, threads per bin, host ns/thread) — so the performance trajectory
-// can be diffed across revisions.
-//
 // -parallel N runs each table's independent simulations on up to N
-// concurrent workers. -mode selects the reference-stream path: pipeline
-// (the default) emits references on the job's goroutine while the cache
-// simulation consumes them on the pipeline's, draining inline when
-// GOMAXPROCS is 1; serial is the per-reference equivalence oracle. Both
-// modes and every parallelism level produce byte-identical tables (the
-// golden equivalence tests in internal/harness enforce this). -mode batch,
-// the name of a path since folded into the default, still runs the
-// default path.
-//
-// -simbench skips the experiment tables and instead measures end-to-end
-// simulation throughput (refs/sec) through each reference-stream path,
-// writing the pipeline benchmark record (see results/README.md). Each
-// stage reports its worker count; -simbench-reps selects the best-of
-// repetition count.
-//
-// -replaybench measures trace-replay throughput: decode-only (the
-// wire-speed ceiling) and decode-feeding-the-cache-hierarchy, through the
-// streaming serial reader and the sharded zero-copy decoder at several
-// worker counts, writing the replay benchmark record (see
-// results/README.md). Every sharded replay is verified bit-identical to
-// the serial replay before its throughput is reported.
+// concurrent workers. Within each simulation the workload emits
+// references on the job's goroutine while the cache simulation consumes
+// them on a pipeline's, draining inline when GOMAXPROCS is 1. Every
+// parallelism level produces byte-identical tables (the golden
+// equivalence tests in internal/harness check this against a
+// per-reference serial oracle that lives in those tests).
 //
 // -metrics writes a merged JSON snapshot of the observability registry —
 // per-worker steals, bins and threads run, segment drain times, pipeline
@@ -47,11 +25,8 @@
 // attaches the observability layer; neither changes any table number
 // (pinned by the harness equivalence tests).
 //
-// -appbench benchmarks the native application kernels (matmul, SOR, PDE,
-// N-body) — pre-optimization vs optimized serial inner loops, and the
-// threaded variants serial vs through the parallel scheduler at 1/2/4
-// workers — writing the application benchmark record (see
-// results/README.md).
+// Timing the program is the benchmark's job: bash benchmark/run.sh (see
+// benchmark/README.md).
 //
 // By default every experiment runs at the scaled geometry (caches ÷16,
 // data sets shrunk to preserve the paper's data:cache ratios; see
@@ -61,12 +36,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -78,29 +52,33 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, table1..table9, figure4, ablations (comma-separated)")
-	size := flag.String("size", "scaled", "problem size: quick, scaled, or full (paper sizes; very slow)")
-	progress := flag.Bool("progress", false, "print per-run progress to stderr")
-	list := flag.Bool("list", false, "list experiments and exit")
-	format := flag.String("format", "text", "output format: text or csv")
-	jsonOut := flag.String("json", "", "also write a machine-readable benchmark record to this file (e.g. BENCH_CORE.json)")
-	mode := flag.String("mode", "pipeline", "reference-stream path: pipeline or serial (bit-identical)")
-	parallel := flag.Int("parallel", 1, "run up to N independent simulations per table concurrently")
-	simbench := flag.String("simbench", "", "measure pipeline throughput instead of running experiments; write the record to this file (e.g. BENCH_SIM.json)")
-	simbenchReps := flag.Int("simbench-reps", 3, "with -simbench: best-of repetition count per stage")
-	baselineRPS := flag.Float64("baseline-rps", 0, "with -simbench: refs/sec of a pre-optimization build for the same workloads, recorded as the speedup baseline")
-	baselineNote := flag.String("baseline-note", "", "with -simbench: provenance note for -baseline-rps")
-	replaybench := flag.String("replaybench", "", "measure trace-replay throughput (serial vs sharded decode) instead of running experiments; write the record to this file (e.g. BENCH_REPLAY.json)")
-	replaybenchReps := flag.Int("replaybench-reps", 3, "with -replaybench: best-of repetition count per stage")
-	appbench := flag.String("appbench", "", "benchmark the native application kernels instead of running experiments; write the record to this file (e.g. BENCH_APPS.json)")
-	appbenchReps := flag.Int("appbench-reps", 5, "with -appbench: best-of repetition count per measurement")
-	metricsOut := flag.String("metrics", "", "write a merged scheduler/pipeline/sim metrics snapshot (JSON) to this file")
-	timelineOut := flag.String("timeline", "", "write a Chrome trace_event worker timeline (JSON, for chrome://tracing or Perfetto) to this file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, renders the selected experiments
+// to stdout, and returns the process exit code — 2 for a usage error, 1
+// for a failed write.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("locality-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment to run: all, table1..table9, figure4, ablations (comma-separated)")
+	size := fs.String("size", "scaled", "problem size: quick, scaled, or full (paper sizes; very slow)")
+	progress := fs.Bool("progress", false, "print per-run progress to stderr")
+	list := fs.Bool("list", false, "list experiments and exit")
+	format := fs.String("format", "text", "output format: text or csv")
+	parallel := fs.Int("parallel", 1, "run up to N independent simulations per table concurrently")
+	metricsOut := fs.String("metrics", "", "write a merged scheduler/pipeline/sim metrics snapshot (JSON) to this file")
+	timelineOut := fs.String("timeline", "", "write a Chrome trace_event worker timeline (JSON, for chrome://tracing or Perfetto) to this file")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
-		listExperiments()
-		return
+		listExperiments(stdout)
+		return 0
 	}
 
 	var cfg harness.Config
@@ -111,15 +89,14 @@ func main() {
 		cfg = harness.Scaled()
 	case "full":
 		cfg = harness.Full()
-		fmt.Fprintln(os.Stderr, "warning: full-size trace simulation processes billions of references; expect hours")
+		fmt.Fprintln(stderr, "warning: full-size trace simulation processes billions of references; expect hours")
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -size %q (want quick, scaled, or full)\n", *size)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown -size %q (want quick, scaled, or full)\n", *size)
+		return 2
 	}
-	var err error
-	if cfg.Mode, err = harness.ParseMode(*mode); err != nil {
-		fmt.Fprintf(os.Stderr, "bad -mode: %v\n", err)
-		os.Exit(2)
+	if *format != "text" && *format != "csv" {
+		fmt.Fprintf(stderr, "unknown -format %q (want text or csv)\n", *format)
+		return 2
 	}
 	cfg.Parallel = *parallel
 
@@ -146,12 +123,6 @@ func main() {
 		}
 		cfg.Obs = o
 	}
-	writeObs := func() {
-		if err := writeObsFiles(o, *metricsOut, *timelineOut); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(1)
-		}
-	}
 
 	var prog harness.Progress
 	if *progress {
@@ -159,36 +130,9 @@ func main() {
 		prog = func(format string, args ...any) {
 			mu.Lock()
 			defer mu.Unlock()
-			fmt.Fprintf(os.Stderr, "  [%s] %s\n", time.Now().Format("15:04:05"),
+			fmt.Fprintf(stderr, "  [%s] %s\n", time.Now().Format("15:04:05"),
 				fmt.Sprintf(format, args...))
 		}
-	}
-
-	if *simbench != "" {
-		if err := runSimBench(cfg, prog, *size, *simbench, *simbenchReps, *baselineRPS, *baselineNote); err != nil {
-			fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
-			os.Exit(1)
-		}
-		writeObs()
-		return
-	}
-
-	if *replaybench != "" {
-		if err := runReplayBench(cfg, prog, *size, *replaybench, *replaybenchReps); err != nil {
-			fmt.Fprintf(os.Stderr, "replaybench: %v\n", err)
-			os.Exit(1)
-		}
-		writeObs()
-		return
-	}
-
-	if *appbench != "" {
-		if err := runAppBench(prog, *appbench, *appbenchReps); err != nil {
-			fmt.Fprintf(os.Stderr, "appbench: %v\n", err)
-			os.Exit(1)
-		}
-		writeObs()
-		return
 	}
 
 	experiments := map[string]func() *tables.Table{
@@ -215,27 +159,20 @@ func main() {
 		for _, name := range strings.Split(*exp, ",") {
 			name = strings.TrimSpace(strings.ToLower(name))
 			if _, ok := experiments[name]; !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", name)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "unknown experiment %q; use -list\n", name)
+				return 2
 			}
 			selected = append(selected, name)
 		}
 	}
 
 	if *format != "csv" {
-		fmt.Printf("Thread Scheduling for Cache Locality (ASPLOS 1996) — reproduction harness\n")
-		fmt.Printf("size=%s (cache scale ÷%d, N-body ÷%d)\n\n", *size, cfg.Scale, cfg.NBodyScale)
-	}
-	record := benchRecord{
-		Schema: "threadsched/bench-core/v3",
-		Date:   time.Now().UTC().Format(time.RFC3339),
-		Size:   *size,
-		Go:     runtime.Version(),
-		CPUs:   runtime.NumCPU(),
+		fmt.Fprintf(stdout, "Thread Scheduling for Cache Locality (ASPLOS 1996) — reproduction harness\n")
+		fmt.Fprintf(stdout, "size=%s (cache scale ÷%d, N-body ÷%d)\n\n", *size, cfg.Scale, cfg.NBodyScale)
 	}
 	for _, name := range selected {
 		if ctx.Err() != nil {
-			fmt.Fprintf(os.Stderr, "interrupted; skipping remaining experiments\n")
+			fmt.Fprintf(stderr, "interrupted; skipping remaining experiments\n")
 			break
 		}
 		start := time.Now()
@@ -247,33 +184,23 @@ func main() {
 		t.AddNote("harness wall time: %v", wall.Round(time.Millisecond))
 		switch *format {
 		case "csv":
-			fmt.Printf("# %s: %s\n", t.ID, t.Title)
-			t.RenderCSV(os.Stdout)
-			fmt.Println()
+			fmt.Fprintf(stdout, "# %s: %s\n", t.ID, t.Title)
+			t.RenderCSV(stdout)
+			fmt.Fprintln(stdout)
 		default:
-			t.Render(os.Stdout)
+			t.Render(stdout)
 		}
-		record.Experiments = append(record.Experiments, expRecord{
-			Name:    name,
-			ID:      t.ID,
-			Title:   t.Title,
-			WallNS:  wall.Nanoseconds(),
-			Metrics: t.Metrics,
-		})
 	}
-	if *jsonOut != "" {
-		if err := writeRecord(*jsonOut, record); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d experiments)\n", *jsonOut, len(record.Experiments))
+	if err := writeObsFiles(stderr, o, *metricsOut, *timelineOut); err != nil {
+		fmt.Fprintf(stderr, "%v\n", err)
+		return 1
 	}
-	writeObs()
+	return 0
 }
 
 // writeObsFiles dumps the metrics snapshot and/or timeline collected by o;
 // a nil o (neither flag given) writes nothing.
-func writeObsFiles(o *obs.Obs, metricsPath, timelinePath string) error {
+func writeObsFiles(stderr io.Writer, o *obs.Obs, metricsPath, timelinePath string) error {
 	if o == nil {
 		return nil
 	}
@@ -289,7 +216,7 @@ func writeObsFiles(o *obs.Obs, metricsPath, timelinePath string) error {
 		if err != nil {
 			return fmt.Errorf("writing %s: %v", metricsPath, err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", metricsPath)
+		fmt.Fprintf(stderr, "wrote %s\n", metricsPath)
 	}
 	if timelinePath != "" {
 		f, err := os.Create(timelinePath)
@@ -303,39 +230,12 @@ func writeObsFiles(o *obs.Obs, metricsPath, timelinePath string) error {
 		if err != nil {
 			return fmt.Errorf("writing %s: %v", timelinePath, err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s (load in chrome://tracing or https://ui.perfetto.dev)\n", timelinePath)
+		fmt.Fprintf(stderr, "wrote %s (load in chrome://tracing or https://ui.perfetto.dev)\n", timelinePath)
 	}
 	return nil
 }
 
-// benchRecord is the machine-readable run summary written by -json; its
-// schema string versions the format so cross-PR tooling can diff runs.
-type benchRecord struct {
-	Schema      string      `json:"schema"`
-	Date        string      `json:"date"`
-	Size        string      `json:"size"`
-	Go          string      `json:"go"`
-	CPUs        int         `json:"cpus"`
-	Experiments []expRecord `json:"experiments"`
-}
-
-type expRecord struct {
-	Name    string             `json:"name"`
-	ID      string             `json:"id"`
-	Title   string             `json:"title"`
-	WallNS  int64              `json:"wall_ns"`
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-func writeRecord(path string, r benchRecord) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func listExperiments() {
+func listExperiments(w io.Writer) {
 	rows := []struct{ id, what string }{
 		{"table1", "thread fork/run overhead (µs), modelled + live host measurement"},
 		{"table2", "matrix multiply times: 5 variants × 2 machines"},
@@ -351,6 +251,6 @@ func listExperiments() {
 		{"modern", "the 1996 technique on a modern 3-level prefetching core"},
 	}
 	for _, r := range rows {
-		fmt.Printf("  %-8s %s\n", r.id, r.what)
+		fmt.Fprintf(w, "  %-8s %s\n", r.id, r.what)
 	}
 }

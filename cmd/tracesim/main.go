@@ -9,23 +9,22 @@
 //	tracesim [-machine r8000|r10000] [-scale N] [-tlb entries]
 //	         [-l1i size,line,assoc] [-l1d size,line,assoc] [-l2 size,line,assoc]
 //	         [-pagesize N -placement identity|sequential|random|coloring]
-//	         [-mode batch|serial] [-slices N] [-parallel N]
+//	         [-slices N] [-parallel N]
 //	         [-metrics metrics.json] [-timeline timeline.json]
 //	         trace-file... (or - for stdin)
 //
 // Multiple trace files replay through independent hierarchies built from
 // the same configuration; -parallel N replays up to N of them
 // concurrently. Reports print in argument order regardless of
-// parallelism, and both -mode paths produce identical counters.
+// parallelism.
 //
-// The default batch mode streams every input, file or stdin: the
-// replaying goroutine decodes chunks with trace.Reader and hands them to
-// a trace.Pipeline, whose goroutine drives the cache hierarchy, so decode
-// overlaps simulation while the hierarchy still observes exact file
-// order. Memory stays bounded by the pipeline's ring and the reader's
-// buffer whatever the trace size; on a single-processor runtime the
-// pipeline drains inline. -mode serial records one reference at a time on
-// one goroutine: it is the oracle the batch path is checked against.
+// Every input, file or stdin, streams: the replaying goroutine decodes
+// chunks with trace.Reader and hands them to a trace.Pipeline, whose
+// goroutine drives the cache hierarchy, so decode overlaps simulation
+// while the hierarchy still observes exact file order. Memory stays
+// bounded by the pipeline's ring and the reader's buffer whatever the
+// trace size; on a single-processor runtime the pipeline drains inline.
+// The tests check every report against a per-reference serial replay.
 //
 // -slices N additionally parallelizes the simulation itself: references
 // are routed by address class (set-index bits common to every cache
@@ -33,15 +32,15 @@
 // concurrently, and the merged counters are provably bit-identical to
 // the serial replay (each set's state depends only on its own reference
 // subsequence, which slicing preserves in order). Slicing preloads the
-// file and decodes it across GOMAXPROCS workers, so it requires batch
-// mode on file inputs; it is incompatible with -pagesize and -tlb
-// (translation and a global TLB couple state across slices); it disables
-// L2 miss classification (a global shadow stack) with a warning.
+// file and decodes it across GOMAXPROCS workers, so it requires file
+// inputs; it is incompatible with -pagesize and -tlb (translation and a
+// global TLB couple state across slices); it disables L2 miss
+// classification (a global shadow stack) with a warning.
 //
 // -metrics writes a JSON snapshot counting each replay's references
-// (tracesim.refs, one track per input file), replay wall times and, on
-// the batch path, the pipeline's chunks, stalls, ring depth and drain
-// times (pipe.*, producer metrics on the input's track);
+// (tracesim.refs, one track per input file), replay wall times and the
+// pipeline's chunks, stalls, ring depth and drain times (pipe.*,
+// producer metrics on the input's track);
 // -timeline writes a Chrome trace_event JSON with one span per input,
 // named after it, for eyeballing how -parallel replays overlapped.
 //
@@ -90,8 +89,7 @@ func main() {
 	pageSize := flag.Uint64("pagesize", 0, "simulate a physically indexed L2 with this page size")
 	tlbEntries := flag.Int("tlb", 0, "simulate a fully-associative data TLB with this many entries")
 	placement := flag.String("placement", "identity", "page placement: identity, sequential, random, coloring")
-	mode := flag.String("mode", "batch", "replay path: batch (streamed decode overlapping simulation) or serial (per-reference oracle; both bit-identical)")
-	slices := flag.Int("slices", 1, "with -mode batch: simulate across N address-sliced cache shards (merged counters bit-identical to serial; disables classification, excludes -pagesize/-tlb)")
+	slices := flag.Int("slices", 1, "simulate across N address-sliced cache shards (merged counters bit-identical to serial; disables classification, excludes -pagesize/-tlb)")
 	parallel := flag.Int("parallel", 1, "replay up to N trace files concurrently")
 	metricsOut := flag.String("metrics", "", "write per-input reference counts and replay times (JSON) to this file")
 	timelineOut := flag.String("timeline", "", "write a Chrome trace_event replay timeline (JSON) to this file")
@@ -102,26 +100,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	batch := false
-	switch *mode {
-	case "batch":
-		batch = true
-	case "serial":
-	default:
-		fatal("unknown -mode %q (want batch or serial)", *mode)
-	}
-
-	var m machine.Machine
-	switch strings.ToLower(*machName) {
-	case "r8000":
-		m = machine.R8000()
-	case "r10000":
-		m = machine.R10000()
-	default:
-		fatal("unknown machine %q", *machName)
-	}
-	if *scale > 1 {
-		m = m.Scaled(*scale)
+	m, err := selectMachine(*machName, *scale)
+	if err != nil {
+		fatal("%v", err)
 	}
 	cfg := m.Caches
 	for _, o := range []struct {
@@ -138,9 +119,6 @@ func main() {
 		*o.dst = c
 	}
 	if *slices > 1 {
-		if !batch {
-			fatal("-slices requires -mode batch")
-		}
 		if *pageSize > 0 || *tlbEntries > 0 {
 			fatal("-slices is incompatible with -pagesize and -tlb: translation and a global TLB couple state across address slices")
 		}
@@ -238,7 +216,7 @@ func main() {
 			if errs[i] = ctx.Err(); errs[i] != nil {
 				return
 			}
-			errs[i] = replay(ctx, &outs[i], name, len(names) > 1, batch, *slices, *tlbEntries, newSetup, o, tracks[i])
+			errs[i] = replay(ctx, &outs[i], name, len(names) > 1, *slices, *tlbEntries, newSetup, o, tracks[i])
 		}(i, name)
 	}
 	wg.Wait()
@@ -281,7 +259,7 @@ func writeFileWith(path string, write func(io.Writer) error) error {
 // argument order. With o attached, the replay records its reference count
 // and wall time on its own track, its pipeline's metrics alongside, and a
 // timeline span named after the input.
-func replay(ctx context.Context, w io.Writer, name string, labeled, batch bool, slices, tlbEntries int, newSetup func() (*simSetup, error), o *obs.Obs, track int) error {
+func replay(ctx context.Context, w io.Writer, name string, labeled bool, slices, tlbEntries int, newSetup func() (*simSetup, error), o *obs.Obs, track int) error {
 	s, err := newSetup()
 	if err != nil {
 		return err
@@ -295,7 +273,7 @@ func replay(ctx context.Context, w io.Writer, name string, labeled, batch bool, 
 	// Address-sliced parallel simulation: decode fans references to
 	// per-slice cache shards, merged for the report. Cancellation is
 	// coarser here (the whole replay, not per chunk).
-	if slices > 1 && batch && name != "-" {
+	if slices > 1 && name != "-" {
 		mf, err := trace.LoadFile(name)
 		if err != nil {
 			return fmt.Errorf("reading trace: %w", err)
@@ -324,33 +302,19 @@ func replay(ctx context.Context, w io.Writer, name string, labeled, batch bool, 
 		defer f.Close()
 		in = f
 	}
-	r := trace.NewReader(in)
-	if batch {
-		// Decode on this goroutine, simulate on the pipeline's. Close
-		// runs on every path: it releases the consumer goroutine, and on
-		// success it is what makes the hierarchy's counters complete.
-		pipe := trace.NewPipeline(s.h, 0, 0).WithContext(ctx).Observe(o, track)
-		err = r.ForEachBatch(0, func(refs []trace.Ref) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			pipe.RecordBatch(refs)
-			return nil
-		})
-		if cerr := pipe.Close(); err == nil {
-			err = cerr
+	// Decode on this goroutine, simulate on the pipeline's. Close runs on
+	// every path: it releases the consumer goroutine, and on success it is
+	// what makes the hierarchy's counters complete.
+	pipe := trace.NewPipeline(s.h, 0, 0).WithContext(ctx).Observe(o, track)
+	err = trace.NewReader(in).ForEachBatch(0, func(refs []trace.Ref) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-	} else {
-		n := 0
-		err = r.ForEach(func(ref trace.Ref) error {
-			if n++; n&0xffff == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			s.h.Record(ref)
-			return nil
-		})
+		pipe.RecordBatch(refs)
+		return nil
+	})
+	if cerr := pipe.Close(); err == nil {
+		err = cerr
 	}
 	if err != nil {
 		if err == ctx.Err() {
@@ -381,6 +345,25 @@ func finishReplay(w io.Writer, s *simSetup, name string, labeled bool, tlbEntrie
 			tlbEntries, s.tlb.Accesses(), s.tlb.Misses(), s.tlb.MissRate())
 	}
 	return nil
+}
+
+// selectMachine returns the named base machine model with its caches
+// divided by scale (0 or 1 leaves them as they are). scale must be a
+// power of two.
+func selectMachine(name string, scale uint64) (machine.Machine, error) {
+	var m machine.Machine
+	switch strings.ToLower(name) {
+	case "r8000":
+		m = machine.R8000()
+	case "r10000":
+		m = machine.R10000()
+	default:
+		return m, fmt.Errorf("unknown machine %q", name)
+	}
+	if scale&(scale-1) != 0 {
+		return m, fmt.Errorf("-scale %d is not a power of two", scale)
+	}
+	return m.Scaled(scale), nil
 }
 
 func parseCache(spec, name string, classify bool) (cache.Config, error) {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -45,6 +47,33 @@ func TestParseCacheWhitespace(t *testing.T) {
 	}
 }
 
+// selectMachine turns bad -machine and -scale values into errors for
+// fatal to print, not panics.
+func TestSelectMachine(t *testing.T) {
+	m, err := selectMachine("R10000", 16)
+	if err != nil || m.Name != machine.R10000().Scaled(16).Name {
+		t.Fatalf("selectMachine(R10000, 16) = %q, %v", m.Name, err)
+	}
+	for _, scale := range []uint64{0, 1} {
+		if m, err := selectMachine("r8000", scale); err != nil || m.Name != machine.R8000().Name {
+			t.Errorf("selectMachine(r8000, %d) = %q, %v; want the unscaled R8000", scale, m.Name, err)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		scale uint64
+		want  string
+	}{
+		{"r8000", 3, "-scale 3 is not a power of two"},
+		{"r8000", 24, "-scale 24 is not a power of two"},
+		{"alpha", 1, `unknown machine "alpha"`},
+	} {
+		if _, err := selectMachine(tc.name, tc.scale); err == nil || err.Error() != tc.want {
+			t.Errorf("selectMachine(%q, %d) err = %v, want %q", tc.name, tc.scale, err, tc.want)
+		}
+	}
+}
+
 // writeTrace writes n pseudo-random references over a 4 MiB address range
 // to a trace file under dir and returns its path.
 func writeTrace(t *testing.T, dir string, n int) string {
@@ -78,14 +107,38 @@ func setupFor(cfg cache.HierarchyConfig) func() (*simSetup, error) {
 	}
 }
 
-// Batch and serial replays of one trace must render byte-identical
-// reports, and multi-file runs label each report.
+// serialReplay is the per-reference oracle the streamed replay is
+// checked against: one goroutine decodes the file and records each
+// reference into a fresh hierarchy with one Record call, then writes the
+// same report replay would.
+func serialReplay(w io.Writer, name string, newSetup func() (*simSetup, error)) error {
+	s, err := newSetup()
+	if err != nil {
+		return err
+	}
+	f, err := os.Open(name)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := trace.NewReader(f).ForEach(func(ref trace.Ref) error {
+		s.h.Record(ref)
+		return nil
+	}); err != nil {
+		return fmt.Errorf("reading trace: %w", err)
+	}
+	report(w, s.h, s.cfg, s.pt)
+	return nil
+}
+
+// Streamed replays of one trace must render reports byte-identical to
+// the serial oracle's, and multi-file runs label each report.
 func TestReplayBatchSerialIdentical(t *testing.T) {
 	path := writeTrace(t, t.TempDir(), 20000)
 	m := machine.R8000().Scaled(64)
 	setup := setupFor(m.Caches)
 	var serial bytes.Buffer
-	if err := replay(context.Background(), &serial, path, false, false, 1, 0, setup, nil, 0); err != nil {
+	if err := serialReplay(&serial, path, setup); err != nil {
 		t.Fatal(err)
 	}
 	// GOMAXPROCS=1 drains the pipeline inline; 2 runs its consumer
@@ -93,7 +146,7 @@ func TestReplayBatchSerialIdentical(t *testing.T) {
 	for _, procs := range []int{1, 2} {
 		var batch bytes.Buffer
 		prev := runtime.GOMAXPROCS(procs)
-		err := replay(context.Background(), &batch, path, false, true, 1, 0, setup, nil, 0)
+		err := replay(context.Background(), &batch, path, false, 1, 0, setup, nil, 0)
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
@@ -108,7 +161,7 @@ func TestReplayBatchSerialIdentical(t *testing.T) {
 	o := obs.New(2)
 	track := o.AcquireTrack()
 	var observed bytes.Buffer
-	if err := replay(context.Background(), &observed, path, false, true, 1, 0, setup, o, track); err != nil {
+	if err := replay(context.Background(), &observed, path, false, 1, 0, setup, o, track); err != nil {
 		t.Fatal(err)
 	}
 	if observed.String() != serial.String() {
@@ -124,7 +177,7 @@ func TestReplayBatchSerialIdentical(t *testing.T) {
 	}
 
 	var labeled bytes.Buffer
-	if err := replay(context.Background(), &labeled, path, true, true, 1, 0, setup, nil, 0); err != nil {
+	if err := replay(context.Background(), &labeled, path, true, 1, 0, setup, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(labeled.String(), "== "+path+" ==\n") {
@@ -137,10 +190,10 @@ func TestReplayBatchSerialIdentical(t *testing.T) {
 	dcfg.L2.Classify = false
 	dsetup := setupFor(dcfg)
 	var dserial, sliced bytes.Buffer
-	if err := replay(context.Background(), &dserial, path, false, false, 1, 0, dsetup, nil, 0); err != nil {
+	if err := serialReplay(&dserial, path, dsetup); err != nil {
 		t.Fatal(err)
 	}
-	if err := replay(context.Background(), &sliced, path, false, true, 2, 0, dsetup, nil, 0); err != nil {
+	if err := replay(context.Background(), &sliced, path, false, 2, 0, dsetup, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if dserial.String() != sliced.String() {
@@ -157,7 +210,7 @@ func TestReplayMemoryIndependentOfTraceSize(t *testing.T) {
 	var before, after runtime.MemStats
 	var out bytes.Buffer
 	runtime.ReadMemStats(&before)
-	err := replay(context.Background(), &out, path, false, true, 1, 0, setup, nil, 0)
+	err := replay(context.Background(), &out, path, false, 1, 0, setup, nil, 0)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -170,8 +223,8 @@ func TestReplayMemoryIndependentOfTraceSize(t *testing.T) {
 	}
 }
 
-// A damaged trace fails the default path with the same typed error as
-// the serial oracle, and no report is written.
+// A damaged trace fails the replay with a typed error, and no report is
+// written.
 func TestReplayDamagedTrace(t *testing.T) {
 	dir := t.TempDir()
 	path := writeTrace(t, dir, 20000)
@@ -194,15 +247,13 @@ func TestReplayDamagedTrace(t *testing.T) {
 		if err := os.WriteFile(damaged, tc.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, batch := range []bool{false, true} {
-			var out bytes.Buffer
-			err := replay(context.Background(), &out, damaged, false, batch, 1, 0, setup, nil, 0)
-			if !errors.Is(err, tc.want) {
-				t.Errorf("%s, batch=%v: got %v, want %v", tc.name, batch, err, tc.want)
-			}
-			if out.Len() != 0 {
-				t.Errorf("%s, batch=%v: damaged replay wrote a report:\n%s", tc.name, batch, out.String())
-			}
+		var out bytes.Buffer
+		err := replay(context.Background(), &out, damaged, false, 1, 0, setup, nil, 0)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: damaged replay wrote a report:\n%s", tc.name, out.String())
 		}
 	}
 }
@@ -232,7 +283,7 @@ func TestReplayCancelledReleasesPipeline(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		var out bytes.Buffer
-		done <- replay(ctx, &out, "-", false, true, 1, 0, setup, nil, 0)
+		done <- replay(ctx, &out, "-", false, 1, 0, setup, nil, 0)
 	}()
 	// The pipe holds far less than a quarter of the trace, so this
 	// write returns only once the replay is well under way.

@@ -27,8 +27,12 @@ func eqConfig() Config {
 }
 
 // eqModes is the reference-stream matrix every equivalence test sweeps:
-// the serial per-reference path is the golden baseline.
-var eqModes = []Mode{ModeSerial, ModePipelined}
+// the serial per-reference oracle is the golden baseline, the pipeline is
+// the production path.
+var eqModes = []struct {
+	name   string
+	serial bool
+}{{"serial", true}, {"pipeline", false}}
 
 // withProcs runs fn with GOMAXPROCS pinned to n, then restores it. The
 // pipeline picks its inline or ring hand-off from GOMAXPROCS when it is
@@ -84,15 +88,15 @@ func TestGoldenEquivalenceStats(t *testing.T) {
 		t.Run(app.name, func(t *testing.T) {
 			t.Parallel()
 			base := eqConfig()
-			base.Mode = ModeSerial
+			base.serial = true
 			want := app.run(base)
 			if want.Summary.L2.Misses == 0 || want.Summary.L2.Compulsory == 0 {
 				t.Fatalf("degenerate golden baseline (no classified L2 misses): %+v", want.Summary.L2)
 			}
 			for _, mode := range eqModes[1:] {
 				c := eqConfig()
-				c.Mode = mode
-				requireSameResult(t, mode.String(), want, app.run(c))
+				c.serial = mode.serial
+				requireSameResult(t, mode.name, want, app.run(c))
 			}
 		})
 	}
@@ -112,10 +116,9 @@ func TestGoldenEquivalenceParallelJobs(t *testing.T) {
 		return js
 	}
 	serial := eqConfig()
-	serial.Mode = ModeSerial
+	serial.serial = true
 	want := serial.runJobs(nil, jobs(serial))
 	par := eqConfig()
-	par.Mode = ModePipelined
 	par.Parallel = 4
 	got := par.runJobs(nil, jobs(par))
 	if len(got) != len(want) {
@@ -163,7 +166,7 @@ func TestGoldenEquivalenceTables(t *testing.T) {
 		t.Run(b.name, func(t *testing.T) {
 			t.Parallel()
 			serial := eqConfig()
-			serial.Mode = ModeSerial
+			serial.serial = true
 			want := b.build(serial)
 			if !strings.Contains(want, "L2") {
 				t.Fatalf("degenerate golden table render:\n%s", want)

@@ -52,8 +52,6 @@ func (c Config) Table1() *tables.Table {
 		fmt.Sprintf("%.2f", tables.PaperTable1.L2Miss["R10000"]), "", "")
 	t.AddNote("host native: %d null threads forked and run through the Go scheduler", c.Table1Threads)
 	t.AddNote("paper's claim holds if total thread overhead < ~2 L2 misses on each machine")
-	t.AddMetric("host_fork_ns_per_thread", forkNS)
-	t.AddMetric("host_run_ns_per_thread", runNS)
 	return t
 }
 
@@ -192,9 +190,6 @@ func schedNote(t *tables.Table, app string, rs core.RunStats) {
 	p := tables.PaperSchedStats[app]
 	t.AddNote("scheduler: paper %d threads in %d bins (avg %d); sim %d threads in %d bins (avg %.0f)",
 		p.Threads, p.Bins, p.AvgPerBin, rs.Threads, rs.Bins, rs.AvgPerBin)
-	t.AddMetric("bins", float64(rs.Bins))
-	t.AddMetric("threads_per_bin", rs.AvgPerBin)
-	t.AddMetric("threads", float64(rs.Threads))
 }
 
 // Table2 reproduces Table 2: matrix multiply times.

@@ -29,25 +29,37 @@ func TestGuardPipelineThroughput(t *testing.T) {
 	if runtime.NumCPU() >= 2 && runtime.GOMAXPROCS(0) >= 2 {
 		floor = 1.10
 	}
-	stages := Quick().SimBench(3, nil)
-	byName := make(map[string]StageResult, len(stages))
-	for _, s := range stages {
-		byName[s.Stage] = s
+	c := Quick()
+	m := c.R8000()
+	workloads := []func(Config) SimResult{
+		func(c Config) SimResult { return c.RunMatmul(MatmulInterchanged, m) },
+		func(c Config) SimResult { return c.RunMatmul(MatmulTiledInterchanged, m) },
+		func(c Config) SimResult { return c.RunSOR(SORUntiled, m) },
+		func(c Config) SimResult { return c.RunPDE(PDERegular, m) },
 	}
-	serial, ok := byName["serial"]
-	if !ok || serial.RefsPerSec <= 0 {
-		t.Fatalf("no serial baseline in %+v", stages)
+	// refsPerSec runs the four workloads back to back, best of 3, and
+	// returns references generated and simulated per second of wall time.
+	refsPerSec := func(c Config) float64 {
+		var refs uint64
+		wall := bestOf(3, func() {
+			refs = 0
+			for _, run := range workloads {
+				r := run(c)
+				refs += r.Summary.IFetches + r.Summary.DataRefs
+			}
+		})
+		return float64(refs) / (float64(wall) / 1e9)
 	}
-	pipe, ok := byName["pipeline"]
-	if !ok {
-		t.Fatalf("stage %q missing from SimBench", "pipeline")
-	}
-	ratio := pipe.RefsPerSec / serial.RefsPerSec
+	oracle := c
+	oracle.serial = true
+	serial := refsPerSec(oracle)
+	pipe := refsPerSec(c)
+	ratio := pipe / serial
 	t.Logf("pipeline %12.0f refs/sec (%.2fx vs serial %.0f; floor %.2fx at %d CPUs, GOMAXPROCS %d)",
-		pipe.RefsPerSec, ratio, serial.RefsPerSec, floor, runtime.NumCPU(), runtime.GOMAXPROCS(0))
+		pipe, ratio, serial, floor, runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	if ratio < floor {
 		t.Errorf("pipeline path runs at %.2fx of serial (%.0f vs %.0f refs/sec), below the %.2fx floor: the hand-off has regressed",
-			ratio, pipe.RefsPerSec, serial.RefsPerSec, floor)
+			ratio, pipe, serial, floor)
 	}
 }
 
@@ -58,9 +70,8 @@ func TestGuardPipelineThroughput(t *testing.T) {
 // hand-off would silently erase that.
 //
 // Parallel consumption cannot beat serial wall-clock on a single core
-// (the scatter is added work), so the guard skips there; the results
-// README records the same caveat for the committed BENCH_REPLAY numbers.
-// Like the pipeline guard it measures real throughput and is opt-in: set
+// (the scatter is added work), so the guard skips there. Like the
+// pipeline guard it measures real throughput and is opt-in: set
 // GUARD_REPLAY=1 (make guard-replay) on a quiet multicore host. The 5%
 // allowance absorbs scheduler noise.
 func TestGuardReplayThroughput(t *testing.T) {

@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,52 +25,6 @@ import (
 	"threadsched/internal/trace"
 	"threadsched/internal/vm"
 )
-
-// Mode selects how a traced run feeds the cache simulator. Both modes are
-// bit-exact: the hierarchy observes the identical reference sequence, so
-// stats, miss classification, and rendered tables are byte-identical
-// (enforced by the golden equivalence tests).
-type Mode int
-
-const (
-	// ModePipelined (the default) buffers references in the model CPU and
-	// hands each full buffer to a trace.Pipeline: the workload emits on
-	// the job's goroutine while the cache hierarchy consumes chunks on
-	// the pipeline's, behind a bounded SPSC ring. On a GOMAXPROCS=1
-	// runtime the pipeline drains inline, so the hierarchy takes each
-	// chunk synchronously on the emitting goroutine.
-	ModePipelined Mode = iota
-	// ModeSerial is the original per-reference path: every emit is one
-	// Recorder.Record interface call. Kept as the equivalence oracle.
-	ModeSerial
-)
-
-// String names the mode.
-func (m Mode) String() string {
-	switch m {
-	case ModePipelined:
-		return "pipeline"
-	case ModeSerial:
-		return "serial"
-	default:
-		return "mode?"
-	}
-}
-
-// ParseMode maps a mode name, in any case, onto its Mode: "pipeline" for
-// the default path or "serial" for the oracle. "batch", the name of a
-// synchronous batched path since folded into the pipelined one, is kept as
-// an alias of "pipeline" so older command lines, clients and journaled
-// job specs keep working.
-func ParseMode(name string) (Mode, error) {
-	switch strings.ToLower(name) {
-	case "pipeline", "batch":
-		return ModePipelined, nil
-	case "serial":
-		return ModeSerial, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q (want pipeline or serial)", name)
-}
 
 // Config selects workload sizes and cache scaling for the experiments.
 type Config struct {
@@ -95,8 +48,12 @@ type Config struct {
 	// Table1Threads is the null-thread count for the overhead benchmark.
 	Table1Threads int
 
-	// Mode selects the reference-stream path (pipelined by default).
-	Mode Mode
+	// serial, set only by this package's tests, feeds the hierarchy one
+	// reference at a time through Recorder.Record instead of the
+	// pipeline: the per-reference oracle the golden equivalence suites
+	// compare the production path against. Stats, miss classification
+	// and rendered tables are identical either way.
+	serial bool
 	// Parallel bounds how many independent simulations a table runs
 	// concurrently; 0 or 1 is serial. Experiments share nothing but
 	// their table sink, so any value is exact.
@@ -206,18 +163,21 @@ func (r SimResult) Seconds() float64 { return r.Time.Seconds() }
 // execute and return the scheduler if one was used (else nil).
 type runner func(cpu *sim.CPU, as *vm.AddressSpace) *core.Scheduler
 
-// simulate runs one traced variant against one machine model through the
-// configured reference-stream mode. With Config.Obs attached, the run
-// acquires a metrics track of its own and reports its wall time
-// (sim.wall_ns), reference throughput (sim.refs_per_sec), reference
-// count (sim.refs, via the CPU) and, on the pipelined path, its ring
-// metrics on it. None of it alters the reference stream.
+// simulate runs one traced variant against one machine model. The model
+// CPU buffers references and hands each full buffer to a trace.Pipeline:
+// the workload emits on the job's goroutine while the cache hierarchy
+// consumes chunks on the pipeline's, behind a bounded SPSC ring (on a
+// GOMAXPROCS=1 runtime the pipeline drains inline). With Config.Obs
+// attached, the run acquires a metrics track of its own and reports its
+// wall time (sim.wall_ns), reference throughput (sim.refs_per_sec),
+// reference count (sim.refs, via the CPU) and, on the pipelined path, its
+// ring metrics on it. None of it alters the reference stream.
 func (c Config) simulate(m machine.Machine, fn runner) SimResult {
 	h := cache.MustNewHierarchy(m.Caches, nil)
 	var rec trace.Recorder = h
 	var pipe *trace.Pipeline
 	track := c.Obs.AcquireTrack()
-	if c.Mode != ModeSerial {
+	if !c.serial {
 		pipe = trace.NewPipeline(h, 0, 0).Observe(c.Obs, track)
 		if c.Context != nil {
 			pipe.WithContext(c.Context)

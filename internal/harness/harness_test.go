@@ -286,28 +286,3 @@ func TestModernTableRenders(t *testing.T) {
 		t.Fatal("modern table missing L3 column")
 	}
 }
-
-// ParseMode keeps "batch" as an alias of the default pipelined path, so
-// command lines and job specs written before the batched path was folded
-// into it still run; anything else unknown is an error naming the modes.
-func TestParseMode(t *testing.T) {
-	for name, want := range map[string]Mode{
-		"pipeline": ModePipelined,
-		"batch":    ModePipelined,
-		"Batch":    ModePipelined,
-		"serial":   ModeSerial,
-	} {
-		if got, err := ParseMode(name); err != nil || got != want {
-			t.Errorf("ParseMode(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	for _, bad := range []string{"", "parallel", "inline"} {
-		if _, err := ParseMode(bad); err == nil || !strings.Contains(err.Error(), "pipeline or serial") {
-			t.Errorf("ParseMode(%q) err = %v, want an error naming pipeline and serial", bad, err)
-		}
-	}
-	var zero Config
-	if zero.Mode != ModePipelined {
-		t.Errorf("zero Config.Mode = %v, want the pipelined default", zero.Mode)
-	}
-}

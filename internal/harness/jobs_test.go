@@ -115,13 +115,13 @@ func TestRunJobCancelledBeforeStart(t *testing.T) {
 // (tens of seconds at this geometry).
 func TestRunJobCancelLatency(t *testing.T) {
 	for _, v := range []struct {
-		name  string
-		mode  Mode
-		procs int
+		name   string
+		serial bool
+		procs  int
 	}{
-		{"inline", ModePipelined, 1},
-		{"serial", ModeSerial, 0},
-		{"pipeline", ModePipelined, 2},
+		{"inline", false, 1},
+		{"serial", true, 0},
+		{"pipeline", false, 2},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			if v.procs > 0 {
@@ -129,7 +129,7 @@ func TestRunJobCancelLatency(t *testing.T) {
 			}
 			c := Scaled()
 			c.MatmulN = 512 // several hundred million references: minutes if not cancelled
-			c.Mode = v.mode
+			c.serial = v.serial
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() {
 				time.Sleep(30 * time.Millisecond)
@@ -173,7 +173,6 @@ func TestPipelinedJobFailureLeaksNoGoroutine(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // force the concurrent ring
 	c := Scaled()
 	c.MatmulN = 256
-	c.Mode = ModePipelined
 	before := runtime.NumGoroutine()
 	for i := 0; i < 8; i++ {
 		ctx, cancel := context.WithCancel(context.Background())

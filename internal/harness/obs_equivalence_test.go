@@ -12,7 +12,7 @@ import (
 // contract at the harness level: attaching the full observability layer
 // (metrics + timeline) to a run must leave every simulation result —
 // reference tallies, miss classification, modelled time, scheduler
-// occupancy — bit-identical, across all three reference-stream modes.
+// occupancy — bit-identical, on the serial oracle and on the pipeline.
 func TestGoldenEquivalenceObserved(t *testing.T) {
 	for _, app := range eqApps() {
 		app := app
@@ -20,14 +20,14 @@ func TestGoldenEquivalenceObserved(t *testing.T) {
 			t.Parallel()
 			for _, mode := range eqModes {
 				plain := eqConfig()
-				plain.Mode = mode
+				plain.serial = mode.serial
 				want := app.run(plain)
 
 				observed := eqConfig()
-				observed.Mode = mode
+				observed.serial = mode.serial
 				observed.Obs = obs.New(4).WithTimeline()
 				got := app.run(observed)
-				requireSameResult(t, "observed/"+mode.String(), want, got)
+				requireSameResult(t, "observed/"+mode.name, want, got)
 
 				// The run must actually have been observed: the threaded
 				// variants all drive a scheduler and a CPU.
@@ -38,7 +38,7 @@ func TestGoldenEquivalenceObserved(t *testing.T) {
 					threads = threads || (c.Name == "sched.threads_run" && c.Total > 0)
 				}
 				if !refs || !threads {
-					t.Errorf("%s: observed run produced an empty snapshot: %+v", mode, snap)
+					t.Errorf("%s: observed run produced an empty snapshot: %+v", mode.name, snap)
 				}
 			}
 		})
@@ -54,11 +54,10 @@ func TestGoldenEquivalenceObservedTable(t *testing.T) {
 		t.Skip("runs the SOR miss-table simulations twice")
 	}
 	serial := eqConfig()
-	serial.Mode = ModeSerial
+	serial.serial = true
 	want := serial.Table7(nil).String()
 
 	observed := eqConfig()
-	observed.Mode = ModePipelined
 	observed.Parallel = 4
 	observed.Obs = obs.New(8).WithTimeline()
 	if got := observed.Table7(nil).String(); got != want {

@@ -232,31 +232,37 @@ func TestRecoverInterruptedJobs(t *testing.T) {
 }
 
 // TestRecoverRequeueInterrupted: with RequeueInterrupted set, a job
-// that was in flight at crash time runs again instead of failing.
+// that was in flight at crash time runs again instead of failing. That
+// holds for a spec journaled with "mode": "serial", the name of a
+// reference-stream path that has since left production.
 func TestRecoverRequeueInterrupted(t *testing.T) {
-	dir := t.TempDir()
-	writeRecords(t, dir, []jrec{
-		{Op: opAccept, ID: "j000001", Seq: 1, Tenant: "t", What: "matmul/threaded",
-			Req: &Request{Kind: "matmul", Variant: "threaded"}, SubmitMS: time.Now().UnixMilli()},
-	})
+	for _, mode := range []string{"", "serial"} {
+		t.Run("mode="+mode, func(t *testing.T) {
+			dir := t.TempDir()
+			writeRecords(t, dir, []jrec{
+				{Op: opAccept, ID: "j000001", Seq: 1, Tenant: "t", What: "matmul/threaded",
+					Req: &Request{Kind: "matmul", Variant: "threaded", Mode: mode}, SubmitMS: time.Now().UnixMilli()},
+			})
 
-	o := obs.New(2)
-	cfg := journalCfg(dir)
-	cfg.Obs = o
-	cfg.RequeueInterrupted = true
-	s := New(cfg)
-	recoverSrv(t, s)
-	defer drainSrv(t, s)
+			o := obs.New(2)
+			cfg := journalCfg(dir)
+			cfg.Obs = o
+			cfg.RequeueInterrupted = true
+			s := New(cfg)
+			recoverSrv(t, s)
+			defer drainSrv(t, s)
 
-	st := waitDone(t, s, "j000001")
-	if st.Result == nil {
-		t.Fatalf("requeued job finished without a result: %+v", st)
-	}
-	if n := counterTotal(o, "server.journal.requeued"); n != 1 {
-		t.Fatalf("server.journal.requeued = %d, want 1", n)
-	}
-	if n := counterTotal(o, "server.interrupted"); n != 0 {
-		t.Fatalf("requeued job also counted interrupted (%d)", n)
+			st := waitDone(t, s, "j000001")
+			if st.Result == nil {
+				t.Fatalf("requeued job finished without a result: %+v", st)
+			}
+			if n := counterTotal(o, "server.journal.requeued"); n != 1 {
+				t.Fatalf("server.journal.requeued = %d, want 1", n)
+			}
+			if n := counterTotal(o, "server.interrupted"); n != 0 {
+				t.Fatalf("requeued job also counted interrupted (%d)", n)
+			}
+		})
 	}
 }
 

@@ -29,11 +29,11 @@ type Request struct {
 	// Size selects the base geometry: "" (server default), "quick", or
 	// "scaled".
 	Size string `json:"size,omitempty"`
-	// Mode selects the reference-stream path (harness.ParseMode):
-	// "pipeline", the default path, or "serial", the per-reference
-	// equivalence oracle; "" keeps the server's configured mode. "batch"
-	// still validates and runs the default path, so older clients and
-	// journaled specs keep working.
+	// Mode names a reference-stream path, from when there was a choice:
+	// "", "pipeline", "batch" or "serial", in any case. Every one runs the
+	// one production path and gives the same result; the field still
+	// validates so older clients and journaled specs keep working. Any
+	// other value is a bad request.
 	Mode string `json:"mode,omitempty"`
 	// Geometry overrides (0 = the size's default), validated against the
 	// caps below.
@@ -109,10 +109,10 @@ func (r Request) validate() error {
 	default:
 		return fmt.Errorf("%w: unknown size %q (want quick or scaled)", ErrBadRequest, r.Size)
 	}
-	if r.Mode != "" {
-		if _, err := harness.ParseMode(r.Mode); err != nil {
-			return fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
+	switch strings.ToLower(r.Mode) {
+	case "", "pipeline", "batch", "serial":
+	default:
+		return fmt.Errorf("%w: unknown mode %q (want pipeline, batch or serial)", ErrBadRequest, r.Mode)
 	}
 	for _, d := range []struct {
 		name string
@@ -152,11 +152,6 @@ func (r Request) harnessConfig(base harness.Config) harness.Config {
 		c = harness.Quick()
 	case "scaled":
 		c = harness.Scaled()
-	}
-	// validate has rejected unknown names, so only "" fails here and
-	// keeps the base's mode.
-	if m, err := harness.ParseMode(r.Mode); err == nil {
-		c.Mode = m
 	}
 	if r.MatmulN > 0 {
 		c.MatmulN = r.MatmulN

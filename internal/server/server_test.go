@@ -149,24 +149,17 @@ func TestServeLifecycle(t *testing.T) {
 	}
 }
 
-// TestModeAliasesRunDefaultPath pins job-spec compatibility: "batch"
-// names a path since folded into the default, so a spec carrying it must
-// still validate and run the default pipelined path. "", "batch" and
-// "pipeline" must give identical results.
+// TestModeAliasesRunDefaultPath pins job-spec compatibility: "mode"
+// names a reference-stream path from when there was a choice, so a spec
+// carrying any of the old names, in any case, must still validate and
+// run the one production path with an identical result.
 func TestModeAliasesRunDefaultPath(t *testing.T) {
 	s := testServer(t, Config{Workers: 1})
-	base := testHarness()
-	base.Mode = harness.ModeSerial
 	var want *Result
-	for _, mode := range []string{"", "batch", "pipeline"} {
+	for _, mode := range []string{"", "batch", "pipeline", "serial", "Batch", "SERIAL"} {
 		req, err := DecodeRequest(strings.NewReader(`{"kind":"matmul","mode":"` + mode + `"}`))
 		if err != nil {
 			t.Fatalf("mode %q: %v", mode, err)
-		}
-		if mode != "" {
-			if got := req.harnessConfig(base).Mode; got != harness.ModePipelined {
-				t.Fatalf("mode %q maps to %v, want the pipelined default", mode, got)
-			}
 		}
 		st, err := s.Submit(req)
 		if err != nil {

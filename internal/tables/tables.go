@@ -21,10 +21,6 @@ type Table struct {
 	Rows [][]string
 	// Notes are free-form lines printed under the table.
 	Notes []string
-	// Metrics are named machine-readable quantities attached to the
-	// table (bins used, threads per bin, modelled seconds, …); the text
-	// renderers ignore them, the JSON benchmark record carries them.
-	Metrics map[string]float64
 }
 
 // AddRow appends a row, padding or truncating to the column count.
@@ -37,14 +33,6 @@ func (t *Table) AddRow(cells ...string) {
 // AddNote appends a note line.
 func (t *Table) AddNote(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
-}
-
-// AddMetric records a named machine-readable quantity.
-func (t *Table) AddMetric(name string, value float64) {
-	if t.Metrics == nil {
-		t.Metrics = make(map[string]float64)
-	}
-	t.Metrics[name] = value
 }
 
 // Render writes the table as aligned text.
