@@ -12,7 +12,8 @@
 #                  its original result, or as failed-interrupted) and
 #                  idempotent resubmits to dedupe — under -race
 #   make fuzz-smoke — short bursts of the trace-format fuzzers (reader
-#                  robustness + chunk/trailer integrity oracle + sharded
+#                  robustness + Read/ReadBatch against the reference
+#                  decoder + chunk/trailer integrity oracle + sharded
 #                  decode differential + sliced-simulation differential),
 #                  the cache simulator's and the cache hierarchy's
 #                  differentials against their naive reference models,
@@ -59,6 +60,7 @@ race:
 # enough to catch format regressions without a dedicated fuzz farm.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzReadBatch -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzChunkTrailer -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzShardedDecode -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzSliceRouter -fuzztime 10s ./internal/sim/

@@ -19,11 +19,13 @@
 // parallelism.
 //
 // Every input, file or stdin, streams: the replaying goroutine decodes
-// chunks with trace.Reader and hands them to a trace.Pipeline, whose
-// goroutine drives the cache hierarchy, so decode overlaps simulation
-// while the hierarchy still observes exact file order. Memory stays
-// bounded by the pipeline's ring and the reader's buffer whatever the
-// trace size; on a single-processor runtime the pipeline drains inline.
+// whole verified chunks with trace.Reader.ReadBatch straight into the
+// buffers of a trace.Pipeline and hands them over with Exchange, without
+// copying, while the pipeline's goroutine drives the cache hierarchy. So
+// decode overlaps simulation while the hierarchy still observes exact
+// file order. Memory stays bounded by the pipeline's buffers and the
+// reader's whatever the trace size; on a single-processor runtime the
+// pipeline drains inline.
 // The tests check every report against a per-reference serial replay.
 //
 // -slices N additionally parallelizes the simulation itself: references
@@ -302,17 +304,29 @@ func replay(ctx context.Context, w io.Writer, name string, labeled bool, slices,
 		defer f.Close()
 		in = f
 	}
-	// Decode on this goroutine, simulate on the pipeline's. Close runs on
-	// every path: it releases the consumer goroutine, and on success it is
-	// what makes the hierarchy's counters complete.
+	// Decode on this goroutine, simulate on the pipeline's. Each batch is
+	// decoded straight into a buffer the pipeline owns and handed over
+	// whole by Exchange, which returns a drained one: no record is copied.
+	// Close runs on every path: it releases the consumer goroutine, and on
+	// success it is what makes the hierarchy's counters complete.
 	pipe := trace.NewPipeline(s.h, 0, 0).WithContext(ctx).Observe(o, track)
-	err = trace.NewReader(in).ForEachBatch(0, func(refs []trace.Ref) error {
-		if err := ctx.Err(); err != nil {
-			return err
+	tr := trace.NewReader(in)
+	buf := make([]trace.Ref, trace.DefaultChunk)
+	for {
+		if err = ctx.Err(); err != nil {
+			break
 		}
-		pipe.RecordBatch(refs)
-		return nil
-	})
+		n, rerr := tr.ReadBatch(buf[:cap(buf)])
+		if n > 0 {
+			buf = pipe.Exchange(buf[:n])
+		}
+		if rerr != nil {
+			if rerr != io.EOF {
+				err = rerr
+			}
+			break
+		}
+	}
 	if cerr := pipe.Close(); err == nil {
 		err = cerr
 	}

@@ -265,19 +265,26 @@ func (tw *Writer) Close() error {
 // chunked files are verified chunk by chunk, and legacy version-1 files
 // take the unframed path (no checksums; truncation at a record boundary
 // is indistinguishable from a clean end).
+//
+// Errors are sticky: once Read or ReadBatch has returned an error other
+// than io.EOF, every later call returns that same error. A damaged chunk
+// therefore ends the stream; the reader never resumes past it with
+// per-kind address bases that skipped the chunk's records.
 type Reader struct {
 	r       *bufio.Reader
-	last    [numKinds]uint64
 	version byte
 	init    bool
 	done    bool
+	err     error // first non-EOF error, returned by every later call
 
-	// Open-chunk state (version 2): records are decoded lazily out of the
-	// verified payload.
-	payload []byte
-	pos     int
-	left    int    // records remaining in the open chunk
-	count   uint64 // records decoded so far, checked against the trailer
+	// dec holds the open chunk (version 2) and the per-kind address bases,
+	// which carry from chunk to chunk (and serve the version-1 path too).
+	dec   chunkDecoder
+	count uint64 // records decoded so far, checked against the trailer
+	// frame holds the framing bytes being read: a varint for the chunk
+	// checksum, or the stored checksum itself. It lives in the Reader so
+	// loading a chunk allocates nothing.
+	frame [binary.MaxVarintLen64]byte
 }
 
 // NewReader returns a Reader decoding from r. The header is validated on
@@ -310,27 +317,29 @@ func (tr *Reader) readHeader() error {
 	return nil
 }
 
-// readUvarint decodes an unsigned varint from the stream, folding its raw
-// bytes into the running CRC. EOF anywhere inside it — including before
-// its first byte — means the trailer was never reached.
-func (tr *Reader) readUvarint(crc *uint32, what string) (uint64, error) {
+// readUvarint decodes an unsigned varint of the chunk framing from the
+// stream into tr.frame and returns its value and raw bytes, which the
+// caller folds into the chunk checksum before the next framing read. EOF
+// anywhere inside it — including before its first byte — means the
+// trailer was never reached.
+func (tr *Reader) readUvarint(what string) (uint64, []byte, error) {
 	var v uint64
 	var shift uint
 	for i := 0; ; i++ {
 		b, err := tr.r.ReadByte()
 		if err != nil {
 			if err == io.EOF {
-				return 0, fmt.Errorf("%w: EOF in %s", ErrTruncated, what)
+				return 0, nil, fmt.Errorf("%w: EOF in %s", ErrTruncated, what)
 			}
-			return 0, err
+			return 0, nil, err
 		}
-		*crc = crc32.Update(*crc, crc32.IEEETable, []byte{b})
-		if i == binary.MaxVarintLen64 || (i == binary.MaxVarintLen64-1 && b > 1) {
-			return 0, fmt.Errorf("%w: varint overflow in %s", ErrCorrupt, what)
+		if i == binary.MaxVarintLen64-1 && b > 1 {
+			return 0, nil, fmt.Errorf("%w: varint overflow in %s", ErrCorrupt, what)
 		}
+		tr.frame[i] = b
 		v |= uint64(b&0x7f) << shift
 		if b < 0x80 {
-			return v, nil
+			return v, tr.frame[:i+1], nil
 		}
 		shift += 7
 	}
@@ -340,16 +349,17 @@ func (tr *Reader) readUvarint(crc *uint32, what string) (uint64, error) {
 // for decoding. At the trailer it validates the total record count,
 // rejects trailing bytes, and returns io.EOF.
 func (tr *Reader) loadChunk() error {
-	var crc uint32
-	plen, err := tr.readUvarint(&crc, "chunk length")
+	plen, raw, err := tr.readUvarint("chunk length")
 	if err != nil {
 		return err
 	}
+	crc := crc32.Update(0, crc32.IEEETable, raw)
 	if plen == 0 {
-		total, err := tr.readUvarint(&crc, "trailer")
+		total, raw, err := tr.readUvarint("trailer")
 		if err != nil {
 			return err
 		}
+		crc = crc32.Update(crc, crc32.IEEETable, raw)
 		if err := tr.checkCRC(crc, "trailer"); err != nil {
 			return err
 		}
@@ -368,10 +378,10 @@ func (tr *Reader) loadChunk() error {
 	if plen > maxFramePayload {
 		return fmt.Errorf("%w: chunk length %d exceeds bound", ErrCorrupt, plen)
 	}
-	if cap(tr.payload) < int(plen) {
-		tr.payload = make([]byte, plen)
+	if cap(tr.dec.p) < int(plen) {
+		tr.dec.p = make([]byte, plen)
 	}
-	p := tr.payload[:plen]
+	p := tr.dec.p[:plen]
 	if _, err := io.ReadFull(tr.r, p); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return fmt.Errorf("%w: EOF in chunk payload", ErrTruncated)
@@ -379,80 +389,111 @@ func (tr *Reader) loadChunk() error {
 		return err
 	}
 	crc = crc32.Update(crc, crc32.IEEETable, p)
-	cnt, err := tr.readUvarint(&crc, "chunk count")
+	cnt, raw, err := tr.readUvarint("chunk count")
 	if err != nil {
 		return err
 	}
+	crc = crc32.Update(crc, crc32.IEEETable, raw)
 	if err := tr.checkCRC(crc, "chunk"); err != nil {
 		return err
 	}
 	if cnt == 0 || cnt > maxFrameRecs {
 		return fmt.Errorf("%w: chunk record count %d out of range", ErrCorrupt, cnt)
 	}
-	tr.payload, tr.pos, tr.left = p, 0, int(cnt)
+	tr.dec.p, tr.dec.pos, tr.dec.left = p, 0, int(cnt)
 	return nil
 }
 
 // checkCRC reads the four stored checksum bytes and compares.
 func (tr *Reader) checkCRC(crc uint32, what string) error {
-	var b [4]byte
-	if _, err := io.ReadFull(tr.r, b[:]); err != nil {
+	b := tr.frame[:4]
+	if _, err := io.ReadFull(tr.r, b); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return fmt.Errorf("%w: EOF in %s checksum", ErrTruncated, what)
 		}
 		return err
 	}
-	if got := binary.LittleEndian.Uint32(b[:]); got != crc {
+	if got := binary.LittleEndian.Uint32(b); got != crc {
 		return fmt.Errorf("%w: %s checksum mismatch", ErrCorrupt, what)
 	}
 	return nil
 }
 
+// chunkDecoder decodes the records of one verified chunk payload. Its
+// decode method is the package's one version-2 record loop: Reader keeps
+// one decoder whose per-kind bases carry across chunks, and
+// MemFile.decodeChunk runs a fresh one per chunk against zero bases.
+type chunkDecoder struct {
+	p    []byte
+	pos  int
+	left int              // records of p not yet decoded
+	base [numKinds]uint64 // last address per kind: the delta bases
+}
+
+// decode decodes len(dst) records, at most d.left, into dst and returns
+// how many it delivered. The checksum already passed, so a malformed
+// record means the count and payload disagree — corruption the CRC
+// happened to miss, or a writer bug — and decode returns ErrCorrupt with
+// the records before it. A chunk whose last record leaves payload bytes
+// unconsumed is corrupt too; that last record is not delivered.
+func (d *chunkDecoder) decode(dst []Ref) (int, error) {
+	p, pos, base := d.p, d.pos, d.base
+	var err error
+	n := 0
+	for ; n < len(dst); n++ {
+		if pos+2 > len(p) {
+			err = fmt.Errorf("%w: chunk payload underrun", ErrCorrupt)
+			break
+		}
+		kb, size := p[pos], p[pos+1]
+		if kb >= byte(numKinds) {
+			err = fmt.Errorf("%w: %v", ErrCorrupt, errBadKind)
+			break
+		}
+		pos += 2
+		// Zigzag varint address delta, with the 1- to 3-byte encodings
+		// (all but a handful of the paper workloads' deltas) inline.
+		var ux uint64
+		if b := p[pos:]; len(b) > 0 && b[0] < 0x80 {
+			ux = uint64(b[0])
+			pos++
+		} else if len(b) > 1 && b[1] < 0x80 {
+			ux = uint64(b[0]&0x7f) | uint64(b[1])<<7
+			pos += 2
+		} else if len(b) > 2 && b[2] < 0x80 {
+			ux = uint64(b[0]&0x7f) | uint64(b[1]&0x7f)<<7 | uint64(b[2])<<14
+			pos += 3
+		} else {
+			v, m := binary.Uvarint(b)
+			if m <= 0 {
+				err = fmt.Errorf("%w: bad address delta", ErrCorrupt)
+				break
+			}
+			ux = v
+			pos += m
+		}
+		base[kb] += ux>>1 ^ -(ux & 1)
+		dst[n] = Ref{Kind: Kind(kb), Addr: base[kb], Size: size}
+	}
+	d.pos, d.base = pos, base
+	d.left -= n
+	if err == nil && d.left == 0 && pos != len(p) {
+		n--
+		err = fmt.Errorf("%w: %d unconsumed chunk bytes", ErrCorrupt, len(p)-pos)
+	}
+	return n, err
+}
+
 // Read decodes the next record. It returns io.EOF at the end of the
 // trace; a trace that ends without its trailer returns an error matching
 // ErrTruncated, and one whose bytes fail verification returns an error
-// matching ErrCorrupt.
+// matching ErrCorrupt. Errors are sticky (see Reader).
 func (tr *Reader) Read() (Ref, error) {
-	if !tr.init {
-		if err := tr.readHeader(); err != nil {
-			return Ref{}, err
-		}
+	var one [1]Ref
+	if _, err := tr.ReadBatch(one[:]); err != nil {
+		return Ref{}, err
 	}
-	if tr.version == 1 {
-		return tr.readV1()
-	}
-	if tr.done {
-		return Ref{}, io.EOF
-	}
-	if tr.left == 0 {
-		if err := tr.loadChunk(); err != nil {
-			return Ref{}, err
-		}
-	}
-	// Decode one record from the verified payload. The checksum already
-	// passed, so a malformed record here means the count and payload
-	// disagree — corruption the CRC happened to miss, or a writer bug.
-	if tr.pos+2 > len(tr.payload) {
-		return Ref{}, fmt.Errorf("%w: chunk payload underrun", ErrCorrupt)
-	}
-	kb, size := tr.payload[tr.pos], tr.payload[tr.pos+1]
-	tr.pos += 2
-	if Kind(kb) >= numKinds {
-		return Ref{}, fmt.Errorf("%w: %v", ErrCorrupt, errBadKind)
-	}
-	delta, n := binary.Varint(tr.payload[tr.pos:])
-	if n <= 0 {
-		return Ref{}, fmt.Errorf("%w: bad address delta", ErrCorrupt)
-	}
-	tr.pos += n
-	tr.left--
-	if tr.left == 0 && tr.pos != len(tr.payload) {
-		return Ref{}, fmt.Errorf("%w: %d unconsumed chunk bytes", ErrCorrupt, len(tr.payload)-tr.pos)
-	}
-	tr.count++
-	k := Kind(kb)
-	tr.last[k] += uint64(delta)
-	return Ref{Kind: k, Addr: tr.last[k], Size: size}, nil
+	return one[0], nil
 }
 
 // readV1 is the legacy unframed decode path.
@@ -473,26 +514,64 @@ func (tr *Reader) readV1() (Ref, error) {
 		return Ref{}, truncatedV1(err)
 	}
 	k := Kind(kb)
-	tr.last[k] += uint64(delta)
-	return Ref{Kind: k, Addr: tr.last[k], Size: size}, nil
+	tr.dec.base[k] += uint64(delta)
+	return Ref{Kind: k, Addr: tr.dec.base[k], Size: size}, nil
 }
 
 // ReadBatch decodes up to len(buf) records into buf, returning the number
 // decoded. At the clean end of the trace it returns the final short count
 // with a nil error, then (0, io.EOF) on the next call; any other error is
-// returned alongside the records decoded before it.
+// returned alongside the records decoded before it, and again, with no
+// records, by every later call (errors are sticky, see Reader). A version-2
+// trace decodes each verified chunk's records in one pass.
 func (tr *Reader) ReadBatch(buf []Ref) (int, error) {
-	for n := range buf {
-		r, err := tr.Read()
-		if err != nil {
-			if n > 0 && err == io.EOF {
-				return n, nil
+	if tr.err != nil {
+		return 0, tr.err
+	}
+	n, err := tr.readBatch(buf)
+	if err == io.EOF && n > 0 {
+		err = nil
+	}
+	if err != nil && err != io.EOF {
+		tr.err = err
+	}
+	return n, err
+}
+
+func (tr *Reader) readBatch(buf []Ref) (int, error) {
+	if !tr.init {
+		if err := tr.readHeader(); err != nil {
+			return 0, err
+		}
+	}
+	n := 0
+	if tr.version == 1 {
+		for ; n < len(buf); n++ {
+			r, err := tr.readV1()
+			if err != nil {
+				return n, err
 			}
+			buf[n] = r
+		}
+		return n, nil
+	}
+	for n < len(buf) {
+		if tr.dec.left == 0 {
+			if tr.done {
+				return n, io.EOF
+			}
+			if err := tr.loadChunk(); err != nil {
+				return n, err
+			}
+		}
+		k, err := tr.dec.decode(buf[n:min(len(buf), n+tr.dec.left)])
+		n += k
+		tr.count += uint64(k)
+		if err != nil {
 			return n, err
 		}
-		buf[n] = r
 	}
-	return len(buf), nil
+	return n, nil
 }
 
 // ForEach decodes the whole remaining trace, invoking fn per record.

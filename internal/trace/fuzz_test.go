@@ -2,9 +2,97 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"testing"
 )
+
+// testChunk is one chunk of a hand-built version-2 trace.
+type testChunk struct {
+	payload []byte
+	count   uint64
+}
+
+// framedTrace builds a version-2 trace whose chunks carry the given
+// payloads and record counts under valid checksums, followed by a valid
+// trailer claiming total records: the way to reach the record decoder's
+// own checks, which a checksum failure otherwise pre-empts.
+func framedTrace(total uint64, chunks ...testChunk) []byte {
+	out := []byte("GTRC\x02")
+	// seal appends to b, which extends out by one frame, the checksum of
+	// that frame, and makes the result the new out.
+	seal := func(b []byte) {
+		out = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[len(out):]))
+	}
+	for _, c := range chunks {
+		b := binary.AppendUvarint(out, uint64(len(c.payload)))
+		b = append(b, c.payload...)
+		seal(binary.AppendUvarint(b, c.count))
+	}
+	seal(binary.AppendUvarint(binary.AppendUvarint(out, 0), total))
+	return out
+}
+
+// drain decodes r to its end, with Read when size is 0 and with ReadBatch
+// into a size-record buffer otherwise. It returns the records delivered
+// and the error the stream stopped with (nil at a clean end), after
+// checking that the error is sticky: further Read and ReadBatch calls
+// return the same error and no records.
+func drain(t *testing.T, r *Reader, size int) ([]Ref, error) {
+	t.Helper()
+	var refs []Ref
+	var err error
+	if size == 0 {
+		for {
+			var ref Ref
+			if ref, err = r.Read(); err != nil {
+				break
+			}
+			refs = append(refs, ref)
+		}
+	} else {
+		buf := make([]Ref, size)
+		for {
+			var n int
+			n, err = r.ReadBatch(buf)
+			refs = append(refs, buf[:n]...)
+			if err != nil {
+				break
+			}
+			if n == 0 {
+				t.Fatal("ReadBatch returned no records and no error")
+			}
+		}
+	}
+	if err == io.EOF {
+		return refs, nil
+	}
+	if _, again := r.Read(); again != err {
+		t.Fatalf("error not sticky: Read after %v returned %v", err, again)
+	}
+	if n, again := r.ReadBatch(make([]Ref, 8)); n != 0 || again != err {
+		t.Fatalf("error not sticky: ReadBatch after %v returned %d records, %v", err, n, again)
+	}
+	return refs, err
+}
+
+// sameDecode fails t unless two decodes delivered the same records and
+// stopped with the same typed error.
+func sameDecode(t *testing.T, what string, got []Ref, gotErr error, want []Ref, wantErr error) {
+	t.Helper()
+	if errClass(gotErr) != errClass(wantErr) {
+		t.Fatalf("%s: err = %v, reference decoder err = %v", what, gotErr, wantErr)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records before %v, reference decoder %d", what, len(got), gotErr, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: record %d = %+v, reference decoder %+v", what, i, got[i], want[i])
+		}
+	}
+}
 
 // FuzzReader: arbitrary input bytes must never panic the decoder — they
 // either decode as records or produce an error. Valid encodings round-trip
@@ -43,11 +131,63 @@ func FuzzReader(f *testing.F) {
 	})
 }
 
+// FuzzReadBatch: Read, ReadBatch at any buffer size (1 to 3 chunks'
+// worth) and the independent reference decoder must deliver the same
+// records from any input and stop with the same typed error after the
+// same count, and the error must be sticky.
+func FuzzReadBatch(f *testing.F) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.RecordBatch(varintLengthRefs(2*frameRecs + 37))
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	firstBad := append([]byte(nil), valid...)
+	firstBad[HeaderSize+8] ^= 0x40 // first chunk fails its checksum
+	lastBad := append([]byte(nil), valid...)
+	lastBad[len(lastBad)-1] ^= 0xff // trailer checksum
+	// Checksummed chunks whose records disagree with their framing: a
+	// byte left after the last record, an invalid kind, a count the
+	// payload cannot hold, and an address varint cut off by the payload.
+	good := testChunk{[]byte{1, 8, 2, 0, 4, 0xff, 0xff, 0x01}, 2}
+	for _, bad := range []testChunk{
+		{[]byte{1, 8, 2, 0, 4, 6, 0}, 2},
+		{[]byte{1, 8, 2, 3, 4, 6}, 2},
+		{[]byte{1, 8, 2, 0, 4, 6, 1}, 3},
+		{[]byte{1, 8, 2, 0, 4, 0x86}, 2},
+	} {
+		f.Add(framedTrace(4, good, bad), uint16(1))
+		f.Add(framedTrace(4, good, bad), uint16(frameRecs))
+	}
+	f.Add(framedTrace(2, good), uint16(1))
+	f.Add(framedTrace(3, good), uint16(frameRecs))
+	v1 := []byte("GTRC\x01\x01\x08\x02\x00\x04\xff\xff\x01\x02\x08\xff\xff\xff\xff\xff\xff\xff\xff\xff\x7f")
+	for _, data := range [][]byte{valid, firstBad, lastBad, valid[:len(valid)/2], v1, []byte(Magic)} {
+		for _, size := range []uint16{1, frameRecs - 1, frameRecs, frameRecs + 1} {
+			f.Add(data, size)
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, size uint16) {
+		n := int(size)
+		if n < 1 || n > 3*frameRecs {
+			n = 1 + n%(3*frameRecs)
+		}
+		want, wantErr := refDecode(data)
+		got, err := drain(t, NewReader(bytes.NewReader(data)), 0)
+		sameDecode(t, "Read", got, err, want, wantErr)
+		got, err = drain(t, NewReader(bytes.NewReader(data)), n)
+		sameDecode(t, "ReadBatch", got, err, want, wantErr)
+	})
+}
+
 // FuzzShardedDecode: the sharded decoder must agree with the serial
 // Reader on arbitrary input — same records delivered in the same order
 // when both succeed, a typed error when either fails, never a panic or a
-// wedge. The serial reader is the oracle; divergence is the bug class
-// the prefix-sum base fixup could introduce.
+// wedge — and the serial Reader with the reference decoder. Divergence
+// from the serial reader is the bug class the prefix-sum base fixup
+// could introduce.
 func FuzzShardedDecode(f *testing.F) {
 	refs := make([]Ref, 2*DefaultChunk+37)
 	rng := uint64(11)
@@ -74,11 +214,11 @@ func FuzzShardedDecode(f *testing.F) {
 		if len(data) > 0 {
 			data[int(off)%len(data)] ^= xor
 		}
-		var serial []Ref
-		serialErr := NewReader(bytes.NewReader(data)).ForEach(func(r Ref) error {
-			serial = append(serial, r)
-			return nil
-		})
+		serial, serialErr := drain(t, NewReader(bytes.NewReader(data)), 0)
+		// The serial Reader shares its record loop with the sharded
+		// decoder, so it is itself checked against the reference decoder.
+		want, wantErr := refDecode(data)
+		sameDecode(t, "serial", serial, serialErr, want, wantErr)
 		mf, err := NewMemFile(data)
 		if err != nil {
 			// The index scan may reject what the serial reader also

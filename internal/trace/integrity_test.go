@@ -211,3 +211,58 @@ func TestReadBatchSurfacesCorruption(t *testing.T) {
 		t.Fatalf("decoded %d records before the error, want %d", total, 2*frameRecs)
 	}
 }
+
+// TestReaderErrorsAreSticky: once a chunk fails verification, every later
+// Read and ReadBatch returns that same error. Resuming past the bad chunk
+// would decode the next chunks against per-kind bases that skipped its
+// records, delivering wrong addresses.
+func TestReaderErrorsAreSticky(t *testing.T) {
+	data := encodeTrace(t, integrityRefs(3*frameRecs))
+	data[HeaderSize+8] ^= 0x40 // inside the first chunk's payload
+	for _, batch := range []bool{false, true} {
+		r := NewReader(bytes.NewReader(data))
+		buf := make([]Ref, frameRecs)
+		var first error
+		if batch {
+			_, first = r.ReadBatch(buf)
+		} else {
+			_, first = r.Read()
+		}
+		if !errors.Is(first, ErrCorrupt) {
+			t.Fatalf("batch=%v: first call err = %v, want ErrCorrupt", batch, first)
+		}
+		for i := 0; i < 4; i++ {
+			if ref, err := r.Read(); err != first {
+				t.Fatalf("batch=%v: Read %d after the error = %+v, %v; want %v", batch, i, ref, err, first)
+			}
+			if n, err := r.ReadBatch(buf); n != 0 || err != first {
+				t.Fatalf("batch=%v: ReadBatch %d after the error = %d records, %v; want %v", batch, i, n, err, first)
+			}
+		}
+	}
+}
+
+// TestReadBatchSteadyStateAllocationFree: once the payload buffer has
+// grown to the chunk size, loading, verifying and decoding a chunk
+// allocates nothing.
+func TestReadBatchSteadyStateAllocationFree(t *testing.T) {
+	var enc bytes.Buffer
+	w := NewWriter(&enc)
+	w.RecordBatch(strideRefs(128 * frameRecs)) // equal-sized chunks
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(bytes.NewReader(enc.Bytes()))
+	buf := make([]Ref, frameRecs)
+	if n, err := r.ReadBatch(buf); n != frameRecs || err != nil {
+		t.Fatalf("warm-up ReadBatch = %d, %v", n, err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if n, err := r.ReadBatch(buf); n != frameRecs || err != nil {
+			t.Fatalf("ReadBatch = %d, %v", n, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ReadBatch allocates %.1f times per chunk, want 0", allocs)
+	}
+}

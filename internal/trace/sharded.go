@@ -238,29 +238,11 @@ func (f *MemFile) decodeChunk(c chunkSpan, dst []Ref) (sums [numKinds]uint64, er
 	if binary.LittleEndian.Uint32(f.data[c.crcOff:]) != crc {
 		return sums, fmt.Errorf("%w: chunk checksum mismatch", ErrCorrupt)
 	}
-	p := f.data[c.payload : c.payload+c.plen]
-	pos := 0
-	for i := 0; i < c.count; i++ {
-		if pos+2 > len(p) {
-			return sums, fmt.Errorf("%w: chunk payload underrun", ErrCorrupt)
-		}
-		kb, size := p[pos], p[pos+1]
-		pos += 2
-		if Kind(kb) >= numKinds {
-			return sums, fmt.Errorf("%w: %v", ErrCorrupt, errBadKind)
-		}
-		delta, n := binary.Varint(p[pos:])
-		if n <= 0 {
-			return sums, fmt.Errorf("%w: bad address delta", ErrCorrupt)
-		}
-		pos += n
-		sums[kb] += uint64(delta)
-		dst[i] = Ref{Kind: Kind(kb), Addr: sums[kb], Size: size}
+	d := chunkDecoder{p: f.data[c.payload : c.payload+c.plen], left: c.count}
+	if _, err := d.decode(dst[:c.count]); err != nil {
+		return sums, err
 	}
-	if pos != len(p) {
-		return sums, fmt.Errorf("%w: %d unconsumed chunk bytes", ErrCorrupt, len(p)-pos)
-	}
-	return sums, nil
+	return d.base, nil
 }
 
 // shardResult is one decoded chunk in flight from a worker to the merger.
