@@ -51,7 +51,7 @@ test:
 	$(GO) -C benchmark test ./...
 
 race:
-	$(GO) test -race -timeout 10m ./internal/core/... ./internal/trace/... ./internal/obs/... ./internal/fault/... ./internal/sim/... ./internal/server/... ./internal/journal/... ./cmd/tracesim/...
+	$(GO) test -race -timeout 10m ./internal/arena/... ./internal/core/... ./internal/trace/... ./internal/obs/... ./internal/fault/... ./internal/sim/... ./internal/server/... ./internal/journal/... ./cmd/tracesim/...
 	$(GO) test -race -count=10 -timeout 10m -run 'TestDepScheduler(Parallel|DataflowOrder|HaltedRun|ObservedParks)|TestCriticalPathFirst|TestPanicMatrix/wavefront|TestDependencyCycle|TestUnknownDependency' ./internal/core/
 	$(GO) test -race -timeout 10m -run 'Parallel|Exact|Threaded' ./internal/apps/...
 	$(GO) test -race -timeout 10m -run 'TestGoldenEquivalence|TestRunJobs|TestReplayBench|TestRunJob|TestConfigReuse|TestPipelinedJob' ./internal/harness/
@@ -111,5 +111,5 @@ bench-core:
 	$(GO) test -run='^$$' -bench='BenchmarkParallelFork|BenchmarkPartitionedRun|BenchmarkTable1ThreadOverhead' .
 
 timeline:
-	$(GO) run ./cmd/locality-bench -exp table2 -size quick -parallel 2 \
+	$(GO) run ./cmd/locality-bench -exp table2 -size quick \
 		-metrics metrics.json -timeline timeline.json

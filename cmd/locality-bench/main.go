@@ -5,16 +5,19 @@
 //
 //	locality-bench [-exp all|table1..table9|figure4|ablations|modern]
 //	               [-size quick|scaled|full] [-format text|csv]
-//	               [-parallel N] [-progress] [-list]
+//	               [-progress] [-list]
 //	               [-metrics metrics.json] [-timeline timeline.json]
 //
-// -parallel N runs each table's independent simulations on up to N
-// concurrent workers. Within each simulation the workload emits
-// references on the job's goroutine while the cache simulation consumes
-// them on a pipeline's, draining inline when GOMAXPROCS is 1. Every
-// parallelism level produces byte-identical tables (the golden
-// equivalence tests in internal/harness check this against a
-// per-reference serial oracle that lives in those tests).
+// Each table runs its independent simulations on GOMAXPROCS workers,
+// which take them in the order the table declares them and recycle one
+// another's workload arrays and chunk buffers, so a table's memory stays
+// near one job's; GOMAXPROCS=1 runs them one at a time. Within each
+// simulation the workload emits references on the job's goroutine while
+// the cache simulation consumes them on a pipeline's, draining inline
+// when GOMAXPROCS is 1. Every worker count produces byte-identical tables
+// (the golden tests in internal/harness check each experiment at one and
+// two workers, and against a per-reference serial oracle that lives in
+// those tests).
 //
 // -metrics writes a merged JSON snapshot of the observability registry —
 // per-worker steals, bins and threads run, segment drain times, pipeline
@@ -41,6 +44,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -66,7 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	progress := fs.Bool("progress", false, "print per-run progress to stderr")
 	list := fs.Bool("list", false, "list experiments and exit")
 	format := fs.String("format", "text", "output format: text or csv")
-	parallel := fs.Int("parallel", 1, "run up to N independent simulations per table concurrently")
 	metricsOut := fs.String("metrics", "", "write a merged scheduler/pipeline/sim metrics snapshot (JSON) to this file")
 	timelineOut := fs.String("timeline", "", "write a Chrome trace_event worker timeline (JSON, for chrome://tracing or Perfetto) to this file")
 	if err := fs.Parse(args); err != nil {
@@ -98,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "unknown -format %q (want text or csv)\n", *format)
 		return 2
 	}
-	cfg.Parallel = *parallel
+	cfg.Parallel = runtime.GOMAXPROCS(0)
 
 	// Interrupt (or SIGTERM) stops the run at the next job boundary: no
 	// new simulation starts, completed tables have already rendered, and
@@ -113,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// pipeline-drain and job lanes AcquireTrack hands out.
 	var o *obs.Obs
 	if *metricsOut != "" || *timelineOut != "" {
-		tracks := 2 * *parallel
+		tracks := 2 * cfg.Parallel
 		if tracks < 4 {
 			tracks = 4
 		}

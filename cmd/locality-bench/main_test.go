@@ -25,6 +25,7 @@ func TestBadFlagValuesExitTwo(t *testing.T) {
 		{[]string{"-size", "huge", "-exp", "table1"}, `unknown -size "huge"`},
 		{[]string{"-size", "quick", "-exp", "bogus"}, `unknown experiment "bogus"`},
 		{[]string{"-mode", "serial"}, "flag provided but not defined: -mode"},
+		{[]string{"-parallel", "2"}, "flag provided but not defined: -parallel"},
 	} {
 		code, stdout, stderr := runCLI(tc.args...)
 		if code != 2 {

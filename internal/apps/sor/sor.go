@@ -31,12 +31,17 @@ package sor
 // boundary-inclusive initial state.
 func NewArray(n int) []float64 {
 	a := make([]float64, n*n)
+	fill(a, n)
+	return a
+}
+
+// fill writes NewArray's initial state into the n×n column-major a.
+func fill(a []float64, n int) {
 	for j := 0; j < n; j++ {
 		for i := 0; i < n; i++ {
 			a[j*n+i] = float64((i*5+j*11)%17) - 8.0
 		}
 	}
-	return a
 }
 
 // relaxColumn applies the stencil down interior column j, carrying the

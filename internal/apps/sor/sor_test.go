@@ -2,6 +2,7 @@ package sor
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"threadsched/internal/cache"
@@ -191,6 +192,28 @@ func TestTracedUntiledMatchesNative(t *testing.T) {
 	for k, v := range tr.A.Data() {
 		if v != want[k] {
 			t.Fatalf("traced[%d] = %v, want %v", k, v, want[k])
+		}
+	}
+}
+
+// NewTracedArray fills its simulated array in place: it allocates one n×n
+// array, not a second one to copy the initial state from.
+func TestNewTracedArrayAllocatesOneArray(t *testing.T) {
+	const n = 256
+	array := uint64(n * n * sim.WordSize)
+	cpu := sim.NewCPU(trace.Discard)
+	as := vm.NewAddressSpace()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := NewTracedArray(cpu, as, n)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= array*3/2 {
+		t.Errorf("NewTracedArray(%d) allocated %d bytes, want one %d-byte array", n, got, array)
+	}
+	want := NewArray(n)
+	for k, v := range tr.A.Data() {
+		if v != want[k] {
+			t.Fatalf("traced initial[%d] = %v, want %v", k, v, want[k])
 		}
 	}
 }

@@ -26,7 +26,7 @@ const (
 // initial state as NewArray.
 func NewTracedArray(cpu *sim.CPU, as *vm.AddressSpace, n int) *TracedArray {
 	t := &TracedArray{CPU: cpu, N: n, A: sim.NewMatrix(cpu, as, n, n, true)}
-	copy(t.A.Data(), NewArray(n))
+	fill(t.A.Data(), n)
 	return t
 }
 

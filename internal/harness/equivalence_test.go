@@ -111,7 +111,7 @@ func TestGoldenEquivalenceParallelJobs(t *testing.T) {
 		for _, app := range eqApps() {
 			app := app
 			js = append(js, simJob{app.name, "eq: " + app.name,
-				func() SimResult { return app.run(c) }})
+				func(c Config) SimResult { return app.run(c) }})
 		}
 		return js
 	}

@@ -208,9 +208,9 @@ func (c Config) Table2(prog Progress) *tables.Table {
 	for _, v := range variants {
 		jobs = append(jobs,
 			simJob{"r8/" + v.name, "table2: " + v.name + " on R8000",
-				func() SimResult { return c.RunMatmul(v.v, c.R8000()) }},
+				func(c Config) SimResult { return c.RunMatmul(v.v, c.R8000()) }},
 			simJob{"r10/" + v.name, "table2: " + v.name + " on R10000",
-				func() SimResult { return c.RunMatmul(v.v, c.R10000()) }})
+				func(c Config) SimResult { return c.RunMatmul(v.v, c.R10000()) }})
 	}
 	r8m, r10m := splitPair(c.runJobs(prog, jobs))
 	t := timeTable("Table 2", fmt.Sprintf("Matrix multiply performance in seconds (n=%d)", c.MatmulN),
@@ -223,9 +223,9 @@ func (c Config) Table2(prog Progress) *tables.Table {
 func (c Config) Table3(prog Progress) *tables.Table {
 	m := c.R8000()
 	meas := c.runJobs(prog, []simJob{
-		{"Untiled", "table3: untiled", func() SimResult { return c.RunMatmul(MatmulInterchanged, m) }},
-		{"Tiled", "table3: tiled", func() SimResult { return c.RunMatmul(MatmulTiledInterchanged, m) }},
-		{"Threaded", "table3: threaded", func() SimResult { return c.RunMatmul(MatmulThreaded, m) }},
+		{"Untiled", "table3: untiled", func(c Config) SimResult { return c.RunMatmul(MatmulInterchanged, m) }},
+		{"Tiled", "table3: tiled", func(c Config) SimResult { return c.RunMatmul(MatmulTiledInterchanged, m) }},
+		{"Threaded", "table3: threaded", func(c Config) SimResult { return c.RunMatmul(MatmulThreaded, m) }},
 	})
 	return missTable("Table 3",
 		fmt.Sprintf("Matmul memory references and cache misses in thousands (n=%d, %s)", c.MatmulN, m.Name),
@@ -246,9 +246,9 @@ func (c Config) Table4(prog Progress) *tables.Table {
 	for _, v := range variants {
 		jobs = append(jobs,
 			simJob{"r8/" + v.name, "table4: " + v.name + " on R8000",
-				func() SimResult { return c.RunPDE(v.v, c.R8000()) }},
+				func(c Config) SimResult { return c.RunPDE(v.v, c.R8000()) }},
 			simJob{"r10/" + v.name, "table4: " + v.name + " on R10000",
-				func() SimResult { return c.RunPDE(v.v, c.R10000()) }})
+				func(c Config) SimResult { return c.RunPDE(v.v, c.R10000()) }})
 	}
 	r8m, r10m := splitPair(c.runJobs(prog, jobs))
 	return timeTable("Table 4", fmt.Sprintf("PDE performance in seconds (n=%d, %d iterations)", c.PDEN, c.PDEIters),
@@ -259,9 +259,9 @@ func (c Config) Table4(prog Progress) *tables.Table {
 func (c Config) Table5(prog Progress) *tables.Table {
 	m := c.R8000()
 	meas := c.runJobs(prog, []simJob{
-		{"Regular", "table5: regular", func() SimResult { return c.RunPDE(PDERegular, m) }},
-		{"Cache-conscious", "table5: cache-conscious", func() SimResult { return c.RunPDE(PDECacheConscious, m) }},
-		{"Threaded", "table5: threaded", func() SimResult { return c.RunPDE(PDEThreaded, m) }},
+		{"Regular", "table5: regular", func(c Config) SimResult { return c.RunPDE(PDERegular, m) }},
+		{"Cache-conscious", "table5: cache-conscious", func(c Config) SimResult { return c.RunPDE(PDECacheConscious, m) }},
+		{"Threaded", "table5: threaded", func(c Config) SimResult { return c.RunPDE(PDEThreaded, m) }},
 	})
 	return missTable("Table 5",
 		fmt.Sprintf("PDE cache misses in thousands (n=%d, %s)", c.PDEN, m.Name),
@@ -282,9 +282,9 @@ func (c Config) Table6(prog Progress) *tables.Table {
 	for _, v := range variants {
 		jobs = append(jobs,
 			simJob{"r8/" + v.name, "table6: " + v.name + " on R8000",
-				func() SimResult { return c.RunSOR(v.v, c.R8000()) }},
+				func(c Config) SimResult { return c.RunSOR(v.v, c.R8000()) }},
 			simJob{"r10/" + v.name, "table6: " + v.name + " on R10000",
-				func() SimResult { return c.RunSOR(v.v, c.R10000()) }})
+				func(c Config) SimResult { return c.RunSOR(v.v, c.R10000()) }})
 	}
 	r8m, r10m := splitPair(c.runJobs(prog, jobs))
 	t := timeTable("Table 6", fmt.Sprintf("SOR performance in seconds (n=%d, t=%d)", c.SORN, c.SORIters),
@@ -297,9 +297,9 @@ func (c Config) Table6(prog Progress) *tables.Table {
 func (c Config) Table7(prog Progress) *tables.Table {
 	m := c.R8000()
 	meas := c.runJobs(prog, []simJob{
-		{"Untiled", "table7: untiled", func() SimResult { return c.RunSOR(SORUntiled, m) }},
-		{"Hand-tiled", "table7: hand-tiled", func() SimResult { return c.RunSOR(SORHandTiled, m) }},
-		{"Threaded", "table7: threaded", func() SimResult { return c.RunSOR(SORThreaded, m) }},
+		{"Untiled", "table7: untiled", func(c Config) SimResult { return c.RunSOR(SORUntiled, m) }},
+		{"Hand-tiled", "table7: hand-tiled", func(c Config) SimResult { return c.RunSOR(SORHandTiled, m) }},
+		{"Threaded", "table7: threaded", func(c Config) SimResult { return c.RunSOR(SORThreaded, m) }},
 	})
 	return missTable("Table 7",
 		fmt.Sprintf("SOR memory references and cache misses in thousands (n=%d, %s)", c.SORN, m.Name),
@@ -310,13 +310,13 @@ func (c Config) Table7(prog Progress) *tables.Table {
 func (c Config) Table8(prog Progress) *tables.Table {
 	r8m, r10m := splitPair(c.runJobs(prog, []simJob{
 		{"r8/Unthreaded", "table8: unthreaded on R8000",
-			func() SimResult { return c.RunNBody(NBodyUnthreaded, c.NBodyR8000(), c.NBodySteps) }},
+			func(c Config) SimResult { return c.RunNBody(NBodyUnthreaded, c.NBodyR8000(), c.NBodySteps) }},
 		{"r10/Unthreaded", "table8: unthreaded on R10000",
-			func() SimResult { return c.RunNBody(NBodyUnthreaded, c.NBodyR10000(), c.NBodySteps) }},
+			func(c Config) SimResult { return c.RunNBody(NBodyUnthreaded, c.NBodyR10000(), c.NBodySteps) }},
 		{"r8/Threaded", "table8: threaded on R8000",
-			func() SimResult { return c.RunNBody(NBodyThreaded, c.NBodyR8000(), c.NBodySteps) }},
+			func(c Config) SimResult { return c.RunNBody(NBodyThreaded, c.NBodyR8000(), c.NBodySteps) }},
 		{"r10/Threaded", "table8: threaded on R10000",
-			func() SimResult { return c.RunNBody(NBodyThreaded, c.NBodyR10000(), c.NBodySteps) }},
+			func(c Config) SimResult { return c.RunNBody(NBodyThreaded, c.NBodyR10000(), c.NBodySteps) }},
 	}))
 	t := timeTable("Table 8",
 		fmt.Sprintf("N-body performance in seconds (%d bodies, %d steps)", c.NBodyN, c.NBodySteps),
@@ -329,8 +329,8 @@ func (c Config) Table8(prog Progress) *tables.Table {
 func (c Config) Table9(prog Progress) *tables.Table {
 	m := c.NBodyR8000()
 	meas := c.runJobs(prog, []simJob{
-		{"Unthreaded", "table9: unthreaded", func() SimResult { return c.RunNBody(NBodyUnthreaded, m, 1) }},
-		{"Threaded", "table9: threaded", func() SimResult { return c.RunNBody(NBodyThreaded, m, 1) }},
+		{"Unthreaded", "table9: unthreaded", func(c Config) SimResult { return c.RunNBody(NBodyUnthreaded, m, 1) }},
+		{"Threaded", "table9: threaded", func(c Config) SimResult { return c.RunNBody(NBodyThreaded, m, 1) }},
 	})
 	return missTable("Table 9",
 		fmt.Sprintf("N-body memory references and cache misses in thousands (%d bodies, 1 step, %s)", c.NBodyN, m.Name),
@@ -367,13 +367,13 @@ func (c Config) Figure4(prog Progress) *tables.Table {
 		nblock := nm.L2CacheSize() * b.Num / b.Den
 		jobs = append(jobs,
 			simJob{b.Label + "/matmul", "figure4: block " + b.Label + " matmul",
-				func() SimResult { return c.RunMatmulThreadedBlock(m, block) }},
+				func(c Config) SimResult { return c.RunMatmulThreadedBlock(m, block) }},
 			simJob{b.Label + "/sor", "figure4: block " + b.Label + " SOR",
-				func() SimResult { return c.RunSORThreadedBlock(m, block) }},
+				func(c Config) SimResult { return c.RunSORThreadedBlock(m, block) }},
 			simJob{b.Label + "/pde", "figure4: block " + b.Label + " PDE",
-				func() SimResult { return c.RunPDEThreadedBlock(m, block) }},
+				func(c Config) SimResult { return c.RunPDEThreadedBlock(m, block) }},
 			simJob{b.Label + "/nbody", "figure4: block " + b.Label + " N-body",
-				func() SimResult { return c.RunNBodyThreadedBlock(nm, nblock) }})
+				func(c Config) SimResult { return c.RunNBodyThreadedBlock(nm, nblock) }})
 	}
 	meas := c.runJobs(prog, jobs)
 	for _, b := range Figure4RelativeBlocks {

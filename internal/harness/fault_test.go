@@ -10,11 +10,11 @@ import (
 )
 
 func okJob(key string) simJob {
-	return simJob{key: key, what: key, run: func() SimResult { return SimResult{} }}
+	return simJob{key: key, what: key, run: func(Config) SimResult { return SimResult{} }}
 }
 
 func panicJob(key string, v any) simJob {
-	return simJob{key: key, what: key, run: func() SimResult { panic(v) }}
+	return simJob{key: key, what: key, run: func(Config) SimResult { panic(v) }}
 }
 
 // recoverJobs runs runJobs and returns the recovered *JobPanicError, if
@@ -85,8 +85,8 @@ func TestRunJobsContextStopsNewJobs(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := 0
 	jobs := []simJob{
-		{key: "first", what: "first", run: func() SimResult { ran++; cancel(); return SimResult{} }},
-		{key: "second", what: "second", run: func() SimResult { ran++; return SimResult{} }},
+		{key: "first", what: "first", run: func(Config) SimResult { ran++; cancel(); return SimResult{} }},
+		{key: "second", what: "second", run: func(Config) SimResult { ran++; return SimResult{} }},
 	}
 	out := Config{Context: ctx}.runJobs(nil, jobs)
 	if ran != 1 {
@@ -115,8 +115,8 @@ func TestRunJobsCancelledMidRun(t *testing.T) {
 	for _, par := range []int{0, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		jobs := []simJob{
-			{key: "ok", what: "ok", run: func() SimResult { return SimResult{} }},
-			{key: "cut", what: "cut", run: func() SimResult {
+			{key: "ok", what: "ok", run: func(Config) SimResult { return SimResult{} }},
+			{key: "cut", what: "cut", run: func(Config) SimResult {
 				cancel()
 				panic(&sim.CancelledError{Err: ctx.Err()})
 			}},

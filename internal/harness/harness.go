@@ -14,9 +14,9 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"threadsched/internal/arena"
 	"threadsched/internal/cache"
 	"threadsched/internal/core"
 	"threadsched/internal/machine"
@@ -56,8 +56,14 @@ type Config struct {
 	serial bool
 	// Parallel bounds how many independent simulations a table runs
 	// concurrently; 0 or 1 is serial. Experiments share nothing but
-	// their table sink, so any value is exact.
+	// their table sink and a buffer arena that hands out only zeroed
+	// arrays and empty chunks, so any value is exact.
 	Parallel int
+
+	// arena, set only on the Config runJobs hands its jobs, recycles the
+	// workload arrays and chunk buffers of one table's simulations. Nil
+	// everywhere else: RunJob and direct Run* calls allocate afresh.
+	arena *jobArena
 
 	// Obs, when non-nil, attaches the observability layer to every
 	// simulation this Config runs: schedulers record their worker metrics
@@ -177,14 +183,15 @@ func (c Config) simulate(m machine.Machine, fn runner) SimResult {
 	var rec trace.Recorder = h
 	var pipe *trace.Pipeline
 	track := c.Obs.AcquireTrack()
+	f64s, refs := c.arena.lease()
 	if !c.serial {
-		pipe = trace.NewPipeline(h, 0, 0).Observe(c.Obs, track)
+		pipe = trace.NewPipeline(h, 0, 0).Observe(c.Obs, track).WithBuffers(refs)
 		if c.Context != nil {
 			pipe.WithContext(c.Context)
 		}
 		rec = pipe
 	}
-	cpu := sim.NewCPU(rec).Observe(c.Obs, track)
+	cpu := sim.NewCPU(rec).WithArena(f64s, refs).Observe(c.Obs, track)
 	if c.Context != nil {
 		// Mid-run cancellation: once the context is done, the CPU panics
 		// with a *sim.CancelledError at its next emission boundary, and
@@ -230,6 +237,12 @@ func (c Config) simulate(m machine.Machine, fn runner) SimResult {
 			panic(err)
 		}
 	}
+	// The workload has returned and the consumer has drained: no array or
+	// chunk buffer of this job is touched again, so the table's next job
+	// may reuse them. A job that unwinds instead leaves its slices to the
+	// garbage collector, since a wedged consumer may still hold a chunk.
+	f64s.Release()
+	refs.Release()
 	if c.Obs.Enabled() {
 		wall := time.Since(start)
 		reg := c.Obs.Registry()
@@ -254,11 +267,31 @@ func (c Config) simulate(m machine.Machine, fn runner) SimResult {
 }
 
 // simJob is one independent simulation inside a table: a result key, a
-// progress label, and the run itself.
+// progress label, and the run itself, which simulates through the Config
+// it is handed (runJobs passes one carrying the table's arena).
 type simJob struct {
 	key  string
 	what string
-	run  func() SimResult
+	run  func(c Config) SimResult
+}
+
+// jobArena recycles the workload arrays and reference-chunk buffers of one
+// runJobs call: each simulation leases from it, simulate hands the
+// leased slices back when the job returns, and the arena is dropped with
+// the table. Jobs in a row, or a pool's worth at a time, thereby reuse
+// one set of buffers instead of each leaving its own as garbage.
+type jobArena struct {
+	f64s arena.Pool[float64]
+	refs arena.Pool[trace.Ref]
+}
+
+// lease opens one job's leases; a nil arena gives nil leases, which
+// allocate with make.
+func (a *jobArena) lease() (*arena.Lease[float64], *arena.Lease[trace.Ref]) {
+	if a == nil {
+		return nil, nil
+	}
+	return a.f64s.Lease(), a.refs.Lease()
 }
 
 // JobPanicError is the panic value runJobs re-raises on its caller's
@@ -282,77 +315,70 @@ func (e *JobPanicError) Error() string {
 	return fmt.Sprintf("harness: job %q (%s) panicked: %v", e.Key, e.What, e.Value)
 }
 
-// runJobs executes a table's simulations, concurrently when
-// Config.Parallel allows, and returns results keyed for rendering. The
-// jobs share nothing (each builds its own hierarchy, CPU, and address
-// space), so the result map — and every table rendered from it — is
-// identical at any parallelism. A job panic quiesces the table (running
-// jobs finish, queued ones are skipped) and then re-panics on the calling
-// goroutine with a *JobPanicError; a done Config.Context stops new jobs
-// from starting AND interrupts running ones mid-simulation (the CPU's
-// cancellation panic classifies as a cancel, not a failure), returning
-// the results gathered so far.
+// runJobs executes a table's simulations on min(Config.Parallel,
+// len(jobs)) workers (at least one, the calling goroutine), which take
+// the jobs in the order they are declared, and returns results keyed for
+// rendering. The jobs share nothing but a buffer arena scoped to this
+// call (each builds its own hierarchy, CPU, and address space, and every
+// array it leases comes back zeroed), so the result map — and every
+// table rendered from it — is identical at any parallelism. A job panic
+// quiesces the table (running jobs finish, queued ones are skipped) and
+// then re-panics on the calling goroutine with a *JobPanicError; a done
+// Config.Context stops new jobs from starting AND interrupts running
+// ones mid-simulation (the CPU's cancellation panic classifies as a
+// cancel, not a failure), returning the results gathered so far.
 func (c Config) runJobs(prog Progress, jobs []simJob) map[string]SimResult {
 	ctx := c.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := make(map[string]SimResult, len(jobs))
-	if c.Parallel <= 1 {
-		for _, j := range jobs {
-			if ctx.Err() != nil {
-				break
-			}
-			prog.printf("%s", j.what)
-			r, perr := c.runJobContained(j)
-			if perr != nil {
-				if cancelCause(perr.Value) != nil {
-					break
-				}
-				panic(perr)
-			}
-			out[j.key] = r
-		}
-		return out
-	}
+	c.arena = new(jobArena)
 	var (
-		mu     sync.Mutex
-		wg     sync.WaitGroup
-		sem    = make(chan struct{}, c.Parallel)
-		failed atomic.Bool
-		first  *JobPanicError
+		mu    sync.Mutex
+		out   = make(map[string]SimResult, len(jobs))
+		next  int
+		stop  bool
+		first *JobPanicError
 	)
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j simJob) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if failed.Load() || ctx.Err() != nil {
-				return
-			}
-			prog.printf("%s", j.what)
-			r, perr := c.runJobContained(j)
-			if perr != nil {
-				// A cancellation unwinding as a panic is the context door
-				// closing, not a job failure: drop the partial job and let
-				// the ctx.Err() gate stop the rest.
-				if cancelCause(perr.Value) != nil {
-					return
-				}
-				failed.Store(true)
-				mu.Lock()
-				if first == nil {
-					first = perr
-				}
+	work := func() {
+		for {
+			mu.Lock()
+			if stop || next == len(jobs) || ctx.Err() != nil {
 				mu.Unlock()
 				return
 			}
-			mu.Lock()
-			out[j.key] = r
+			j := jobs[next]
+			next++
 			mu.Unlock()
-		}(j)
+			prog.printf("%s", j.what)
+			r, perr := c.runJobContained(j)
+			mu.Lock()
+			switch {
+			case perr == nil:
+				out[j.key] = r
+			case cancelCause(perr.Value) != nil:
+				// A cancellation unwinding as a panic is the context door
+				// closing, not a job failure: drop the partial job and
+				// start no other.
+				stop = true
+			default:
+				stop = true
+				if first == nil {
+					first = perr
+				}
+			}
+			mu.Unlock()
+		}
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(c.Parallel, len(jobs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 	if first != nil {
 		panic(first)
@@ -378,13 +404,13 @@ func (c Config) runJobContained(j simJob) (r SimResult, perr *JobPanicError) {
 // busy with.
 func (c Config) runJob(j simJob) SimResult {
 	if !c.Obs.Enabled() {
-		return j.run()
+		return j.run(c)
 	}
 	tk := c.Obs.AcquireTrack()
 	var r SimResult
 	c.Obs.Labeled(tk, "job", func() {
 		sp := c.Obs.Timeline().Begin(tk, j.what)
-		r = j.run()
+		r = j.run(c)
 		sp.End()
 	})
 	return r

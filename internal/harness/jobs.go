@@ -104,14 +104,12 @@ func (c Config) RunJob(ctx context.Context, spec JobSpec) (SimResult, error) {
 		return SimResult{}, err
 	}
 	what := spec.What()
-	if hook := spec.Hook; hook != nil {
-		inner := run
-		run = func() SimResult {
-			hook()
-			return inner()
+	r, perr := c.runJobContained(simJob{key: what, what: what, run: func(Config) SimResult {
+		if spec.Hook != nil {
+			spec.Hook()
 		}
-	}
-	r, perr := c.runJobContained(simJob{key: what, what: what, run: run})
+		return run()
+	}})
 	if perr != nil {
 		if cerr := cancelCause(perr.Value); cerr != nil {
 			return SimResult{}, cerr
@@ -140,7 +138,7 @@ func (c Config) RunExperiment(ctx context.Context, name string) (string, error) 
 		return "", err
 	}
 	var text string
-	_, perr := c.runJobContained(simJob{key: name, what: name, run: func() SimResult {
+	_, perr := c.runJobContained(simJob{key: name, what: name, run: func(Config) SimResult {
 		text = fn().String()
 		return SimResult{}
 	}})

@@ -34,9 +34,9 @@ func (c Config) Modern(prog Progress) *tables.Table {
 	for _, v := range variants {
 		jobs = append(jobs,
 			simJob{"r8/" + v.name, "modern: " + v.name + " on R8000",
-				func() SimResult { return c.RunMatmul(v.v, r8) }},
+				func(c Config) SimResult { return c.RunMatmul(v.v, r8) }},
 			simJob{"r10/" + v.name, "modern: " + v.name + " on Modern",
-				func() SimResult { return c.RunMatmul(v.v, modern) }})
+				func(c Config) SimResult { return c.RunMatmul(v.v, modern) }})
 	}
 	old, res := splitPair(c.runJobs(prog, jobs))
 	for _, v := range variants {

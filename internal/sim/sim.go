@@ -17,6 +17,7 @@ package sim
 import (
 	"context"
 
+	"threadsched/internal/arena"
 	"threadsched/internal/obs"
 	"threadsched/internal/trace"
 	"threadsched/internal/vm"
@@ -64,6 +65,11 @@ type CPU struct {
 	// context checks.
 	ctx        context.Context
 	sinceCheck int
+	// f64s and refs, when non-nil, supply the workload arrays (NewF64,
+	// NewMatrix) and the reference buffer (Buffer) from a job's arena;
+	// see WithArena.
+	f64s *arena.Lease[float64]
+	refs *arena.Lease[trace.Ref]
 }
 
 // NewCPU returns a CPU recording to rec; a nil rec discards references
@@ -91,6 +97,16 @@ func (c *CPU) Observe(o *obs.Obs, track int) *CPU {
 	return c
 }
 
+// WithArena draws this CPU's workload arrays (NewF64, NewMatrix) and its
+// reference buffer (Buffer) from the given leases instead of allocating
+// them, and returns the CPU. Call it before Buffer and before the first
+// array is built. The caller releases the leases once the run is over and
+// nothing reads the arrays any more; nil leases allocate as usual.
+func (c *CPU) WithArena(f64s *arena.Lease[float64], refs *arena.Lease[trace.Ref]) *CPU {
+	c.f64s, c.refs = f64s, refs
+	return c
+}
+
 // Buffer switches the CPU to batched emission with an n-reference buffer
 // (n <= 0 selects trace.DefaultChunk) and returns the CPU. The caller
 // must call Flush after the workload finishes and before reading results
@@ -100,7 +116,7 @@ func (c *CPU) Buffer(n int) *CPU {
 	if n <= 0 {
 		n = trace.DefaultChunk
 	}
-	c.buf = make([]trace.Ref, 0, n)
+	c.buf = c.refs.Make(n)[:0]
 	return c
 }
 
@@ -182,11 +198,13 @@ type F64 struct {
 // NewF64 allocates an n-element array in the address space, aligned to the
 // word size (arrays deliberately do not start page- or line-aligned by
 // default; callers can pre-align the space if an experiment needs it).
+// The backing slice is zeroed, and comes from the CPU's arena when it has
+// one (see WithArena).
 func NewF64(cpu *CPU, as *vm.AddressSpace, n int) *F64 {
 	return &F64{
 		cpu:  cpu,
 		base: as.Alloc(uint64(n)*WordSize, WordSize),
-		data: make([]float64, n),
+		data: cpu.f64s.Make(n),
 	}
 }
 

@@ -509,12 +509,18 @@ func (tr *Reader) readV1() (Ref, error) {
 	if err != nil {
 		return Ref{}, truncatedV1(err)
 	}
-	delta, err := binary.ReadVarint(tr.r)
+	// A delta that overflows 64 bits is damage (ErrCorrupt), an EOF in it
+	// a cut (ErrTruncated), exactly as in the version-2 framing.
+	u, _, err := tr.readUvarint("address delta")
 	if err != nil {
-		return Ref{}, truncatedV1(err)
+		return Ref{}, err
+	}
+	delta := u >> 1
+	if u&1 != 0 {
+		delta = ^delta
 	}
 	k := Kind(kb)
-	tr.dec.base[k] += uint64(delta)
+	tr.dec.base[k] += delta
 	return Ref{Kind: k, Addr: tr.dec.base[k], Size: size}, nil
 }
 

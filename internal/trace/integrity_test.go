@@ -187,6 +187,27 @@ func TestLegacyV1Readable(t *testing.T) {
 	}
 }
 
+// TestLegacyV1OverflowIsCorrupt: a version-1 address delta whose varint
+// overflows 64 bits is damage, reported as ErrCorrupt by Read and
+// ReadBatch alike, after the records before it.
+func TestLegacyV1OverflowIsCorrupt(t *testing.T) {
+	data := []byte(Magic + "\x01")
+	// A load at +8, then a load whose delta varint has a tenth byte above 1.
+	data = append(data, byte(Load), 8, 0x10)
+	data = append(data, byte(Load), 8, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)
+	got, err := decodeAll(data)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Read: err = %v, want ErrCorrupt", err)
+	}
+	if len(got) != 1 || got[0] != (Ref{Kind: Load, Addr: 8, Size: 8}) {
+		t.Fatalf("Read decoded %+v before the damage, want one load at 8", got)
+	}
+	n, err := NewReader(bytes.NewReader(data)).ReadBatch(make([]Ref, 4))
+	if n != 1 || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReadBatch = %d, %v; want 1, ErrCorrupt", n, err)
+	}
+}
+
 // TestReadBatchSurfacesCorruption: the batch path reports the typed error
 // alongside the records decoded before it.
 func TestReadBatchSurfacesCorruption(t *testing.T) {

@@ -7,6 +7,8 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+
+	"threadsched/internal/arena"
 )
 
 // DefaultPipelineDepth is the number of in-flight chunks a Pipeline's ring
@@ -66,6 +68,8 @@ type Pipeline struct {
 	// met is the optional observability attachment (see Observe); its
 	// zero value is the disabled state.
 	met pipeObs
+	// bufs, when non-nil, supplies new chunk buffers (see WithBuffers).
+	bufs *arena.Lease[Ref]
 }
 
 // ConsumerPanicError is the error Pipeline.Close (and Err) report when
@@ -125,8 +129,17 @@ func (p *Pipeline) next() []Ref {
 	case b := <-p.free:
 		return b[:0]
 	default:
-		return make([]Ref, 0, p.chunk)
+		return p.bufs.Make(p.chunk)[:0]
 	}
+}
+
+// WithBuffers allocates the pipeline's chunk buffers from l instead of
+// with make, and returns the pipeline. Like Observe, it must be called
+// before the first record. The buffers stay the pipeline's until Close
+// returns; the caller releases l after that. A nil l allocates as usual.
+func (p *Pipeline) WithBuffers(l *arena.Lease[Ref]) *Pipeline {
+	p.bufs = l
+	return p
 }
 
 func (p *Pipeline) consume() {

@@ -11,9 +11,7 @@ import (
 // record per step — and shares no code with the decoders it checks. It
 // returns every record a conforming reader delivers before it stops, and
 // the error it stops with: nil at a clean end, else ErrBadMagic,
-// ErrBadVersion, ErrTruncated, ErrCorrupt, or errRefOverflow for a
-// version-1 address delta that overflows 64 bits (which the streaming
-// reader reports untyped).
+// ErrBadVersion, ErrTruncated or ErrCorrupt.
 func refDecode(data []byte) ([]Ref, error) {
 	switch {
 	case len(data) == 0:
@@ -29,8 +27,6 @@ func refDecode(data []byte) ([]Ref, error) {
 	}
 	return nil, ErrBadVersion
 }
-
-var errRefOverflow = errors.New("reference decoder: version-1 varint overflow")
 
 // Format bounds of version 2: at most 65536 records per chunk, each at
 // most a kind byte, a size byte and a 10-byte varint.
@@ -84,7 +80,7 @@ func refDecodeV1(b []byte) ([]Ref, error) {
 		i++
 		u, ok, overflow := refUvarint(b, &i)
 		if overflow {
-			return refs, errRefOverflow
+			return refs, ErrCorrupt
 		}
 		if !ok {
 			return refs, ErrTruncated
