@@ -14,7 +14,8 @@
 #   make fuzz-smoke — short bursts of the trace-format fuzzers (reader
 #                  robustness + Read/ReadBatch against the reference
 #                  decoder + chunk/trailer integrity oracle + sharded
-#                  decode differential + sliced-simulation differential),
+#                  decode differential + Writer call-split round trip
+#                  + sliced-simulation differential),
 #                  the cache simulator's and the cache hierarchy's
 #                  differentials against their naive reference models,
 #                  the daemon's request-decode fuzzer
@@ -63,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadBatch -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzChunkTrailer -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzShardedDecode -fuzztime 10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzWriterRoundTrip -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzSliceRouter -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzCacheMatchesReference -fuzztime 10s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzHierarchyMatchesReference -fuzztime 10s ./internal/cache/

@@ -1,7 +1,10 @@
 // Tracegen demonstrates the Pixie-style tracing substrate: it runs an
 // instrumented workload variant, writes its address trace to a file in the
-// binary trace format, and prints a summary. Feed the output to
-// cmd/tracesim to replay it through any cache configuration:
+// binary trace format, and prints a summary. The model CPU buffers the
+// references and hands each full chunk of them to the trace.Writer by
+// Exchange, without a copy; the Writer encodes them on its own goroutine
+// while the workload keeps emitting. Feed the output to cmd/tracesim to
+// replay it through any cache configuration:
 //
 //	go run ./examples/tracegen -workload sor -out /tmp/sor.trace
 //	go run ./cmd/tracesim -machine r8000 -scale 64 /tmp/sor.trace
@@ -35,7 +38,7 @@ func main() {
 	defer f.Close()
 	w := trace.NewWriter(f)
 
-	cpu := sim.NewCPU(w)
+	cpu := sim.NewCPU(w).Buffer(0)
 	as := vm.NewAddressSpace()
 	switch *workload {
 	case "sor":
@@ -52,6 +55,7 @@ func main() {
 		log.Fatalf("unknown workload %q", *workload)
 	}
 
+	cpu.Flush()
 	if err := w.Close(); err != nil {
 		log.Fatal(err)
 	}

@@ -297,3 +297,28 @@ func BenchmarkNativeThreaded(b *testing.B) {
 		Threaded(C, A, B2, n, s)
 	}
 }
+
+// TestTracedThreadedForkAllocs: the traced threaded variants share one
+// body closure across all their threads, so a warmed run allocates at
+// most one object per forked thread (sim.Threads.Fork's own wrapper),
+// plus a few per call that do not grow with the thread count.
+func TestTracedThreadedForkAllocs(t *testing.T) {
+	const perCall = 8
+	variants := map[string]func(tr *Traced, th *sim.Threads){
+		"Threaded":     func(tr *Traced, th *sim.Threads) { tr.Threaded(th) },
+		"ThreadedEach": func(tr *Traced, th *sim.Threads) { tr.ThreadedEach(th, nil) },
+	}
+	for name, run := range variants {
+		for _, n := range []int{32, 64} {
+			cpu := sim.NewCPU(trace.Discard).Buffer(0)
+			as := vm.NewAddressSpace()
+			tr := NewTraced(cpu, as, n)
+			th := sim.NewThreads(cpu, as, ThreadedScheduler(1<<16))
+			allocs := testing.AllocsPerRun(2, func() { run(tr, th) })
+			if threads := float64(n * n); allocs > threads+perCall {
+				t.Errorf("%s n=%d: %v allocations for %v forked threads, want at most one each plus %d",
+					name, n, allocs, threads, perCall)
+			}
+		}
+	}
+}

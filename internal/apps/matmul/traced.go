@@ -227,10 +227,11 @@ func (t *Traced) regKernel(ii, iend, jj, jend, kk, kend int, transposed bool) {
 func (t *Traced) Threaded(th *sim.Threads) {
 	n := t.N
 	t.transposeA()
+	// One closure for every thread, as in native Threaded.
+	dot := func(i, j int) { t.dot(i, j) }
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			th.Fork(func(i, j int) { t.dot(i, j) }, i, j,
-				t.A.Addr(0, i), t.B.Addr(0, j), 0)
+			th.Fork(dot, i, j, t.A.Addr(0, i), t.B.Addr(0, j), 0)
 		}
 	}
 	th.Run(false)
@@ -243,10 +244,11 @@ func (t *Traced) Threaded(th *sim.Threads) {
 func (t *Traced) ThreadedEach(th *sim.Threads, beforeBin func(bin, threads int)) {
 	n := t.N
 	t.transposeA()
+	// One closure for every thread, as in native Threaded.
+	dot := func(i, j int) { t.dot(i, j) }
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			th.Fork(func(i, j int) { t.dot(i, j) }, i, j,
-				t.A.Addr(0, i), t.B.Addr(0, j), 0)
+			th.Fork(dot, i, j, t.A.Addr(0, i), t.B.Addr(0, j), 0)
 		}
 	}
 	th.RunEach(false, beforeBin)

@@ -61,8 +61,13 @@ type Request struct {
 
 // Request caps: a shared service cannot let one request submit the
 // paper-scale geometry (hours of simulation) or an absurd iteration
-// count. Deadlines bound runaway jobs anyway; the caps keep a single
-// accepted job's memory in check too.
+// count. Deadlines bound runaway jobs anyway. The caps bound the request
+// body, the problem size, and the iteration and step counts, and so a
+// job's workload arrays and its run time; they do not bound its
+// scheduler memory. The scheduler's thread groups grow with the number
+// of bins, which a small block multiplies: matmul at n=128 with block
+// 1024 makes 16,384 one-thread bins and allocates about 110 MB of groups.
+// That holds until thread groups are sized to their bins.
 const (
 	maxRequestBytes = 1 << 20
 	maxDim          = 4096

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync/atomic"
 )
 
 // The on-disk trace format is a substitute for Pixie's binary trace output:
@@ -75,25 +76,32 @@ var (
 const WriterBufSize = 1 << 16
 
 // Writer encodes a reference stream to an io.Writer. It implements
-// Recorder and BatchRecorder; call Close when done — the trailer it
-// writes is what lets Reader distinguish a complete trace from a
-// truncated one.
+// Recorder, BatchRecorder and BufferExchanger; call Close when done — the
+// trailer it writes is what lets Reader distinguish a complete trace from
+// a truncated one.
+//
+// Encoding runs behind a Pipeline: Record, RecordBatch and Exchange hand
+// references to its ring, and its consumer delta-encodes, frames,
+// checksums and writes them, so emitting a reference stream overlaps with
+// encoding it. A buffered sim.CPU hands whole chunks over by Exchange,
+// without a copy. The pipeline starts on the first record; Flush and
+// Close drain it and stop its goroutine, and the next record after a
+// Flush starts a new one. A Writer dropped without either keeps that
+// goroutine parked, so close it on error paths too. At GOMAXPROCS=1 the pipeline runs inline: the
+// Writer then encodes on the caller's goroutine and starts none. The
+// bytes written do not depend on how the records arrive. A Writer is not
+// safe for concurrent use, except for Count.
 type Writer struct {
-	w       *bufio.Writer
-	last    [numKinds]uint64
-	n       uint64
-	pending []byte // encoded records of the open chunk
-	pendCnt int
-	scratch [binary.MaxVarintLen64 + 2]byte
-	err     error
-	wrote   bool
-	closed  bool
+	enc    encoder
+	pipe   *Pipeline // nil until the first record after NewWriter, Flush or Close
+	closed bool
 }
 
-var _ BatchRecorder = (*Writer)(nil)
+var _ BufferExchanger = (*Writer)(nil)
 
 // NewWriter returns a Writer that encodes to w with a WriterBufSize
-// buffer. The header is written lazily on the first record (or on Close).
+// buffer. The header is written lazily on the first record (or on Flush
+// or Close).
 func NewWriter(w io.Writer) *Writer {
 	return NewWriterSize(w, WriterBufSize)
 }
@@ -101,10 +109,117 @@ func NewWriter(w io.Writer) *Writer {
 // NewWriterSize is NewWriter with an explicit output buffer size in bytes
 // (values below bufio's minimum are rounded up by bufio).
 func NewWriterSize(w io.Writer, size int) *Writer {
-	return &Writer{w: bufio.NewWriterSize(w, size)}
+	return &Writer{enc: encoder{w: bufio.NewWriterSize(w, size)}}
 }
 
-func (tw *Writer) writeHeader() {
+// pipeline returns the running pipeline, starting one if there is none.
+// After Close it returns nil and latches errClosed, unless an earlier
+// error stands; the pipeline is stopped then, so the encoder's state is
+// the producer's to touch.
+func (tw *Writer) pipeline() *Pipeline {
+	if tw.closed {
+		if tw.enc.err == nil {
+			tw.enc.err = errClosed
+		}
+		return nil
+	}
+	if tw.pipe == nil {
+		tw.pipe = NewPipeline(&tw.enc, 0, 0)
+	}
+	return tw.pipe
+}
+
+// Record implements Recorder, handing one reference to the encoder.
+func (tw *Writer) Record(r Ref) {
+	if p := tw.pipeline(); p != nil {
+		p.Record(r)
+	}
+}
+
+// RecordBatch implements BatchRecorder. The caller keeps refs: the batch
+// is copied into the pipeline's ring (or, inline, encoded before
+// RecordBatch returns).
+func (tw *Writer) RecordBatch(refs []Ref) {
+	if p := tw.pipeline(); p != nil {
+		p.RecordBatch(refs)
+	}
+}
+
+// Exchange implements BufferExchanger: buf goes to the encoder as it is,
+// and the caller gets an empty buffer back to fill next.
+func (tw *Writer) Exchange(buf []Ref) []Ref {
+	if p := tw.pipeline(); p != nil {
+		return p.Exchange(buf)
+	}
+	return buf[:0]
+}
+
+// drain stops the pipeline, if one runs, once the encoder has taken
+// every record handed to it, and returns the encoder's error.
+func (tw *Writer) drain() error {
+	if tw.pipe != nil {
+		err := tw.pipe.Close()
+		tw.pipe = nil
+		if err != nil && tw.enc.err == nil {
+			tw.enc.err = err
+		}
+	}
+	return tw.enc.err
+}
+
+// Count returns the number of records encoded so far. Records still in
+// the pipeline are not counted until the encoder takes them, so Count is
+// exact after Flush or Close returns; it is safe to call at any time,
+// also from another goroutine while the Writer is in use.
+func (tw *Writer) Count() uint64 { return tw.enc.count.Load() }
+
+// Flush drains the pipeline, writes the header (if not yet written),
+// frames the open chunk, and flushes buffered output, making everything
+// recorded so far durable. It returns the first error the Writer met:
+// the underlying io.Writer's, an invalid record kind, or a record after
+// Close. The trace is still incomplete until Close writes the trailer; a
+// reader of a flushed-but-unclosed trace reports ErrTruncated at its end.
+func (tw *Writer) Flush() error {
+	if err := tw.drain(); err != nil {
+		return err
+	}
+	return tw.enc.flush()
+}
+
+// Close completes the trace: it drains the pipeline, frames the open
+// chunk, writes the zero-length trailer carrying the total record count,
+// and flushes. It returns the first error the Writer met, as Flush does.
+// It does not close the underlying io.Writer. Close is idempotent;
+// recording after Close is an error, which a later Flush or Close
+// returns.
+func (tw *Writer) Close() error {
+	if tw.closed {
+		return tw.enc.err
+	}
+	tw.closed = true
+	if err := tw.drain(); err != nil {
+		return err
+	}
+	return tw.enc.close()
+}
+
+// encoder is the Writer's pipeline consumer: it delta-encodes records
+// into chunks, frames and checksums them, and writes them through a
+// buffered writer. While a pipeline runs, only its consumer touches the
+// encoder; count is the one field the producer side reads then.
+type encoder struct {
+	w       *bufio.Writer
+	last    [numKinds]uint64
+	n       uint64
+	count   atomic.Uint64 // n, published after each batch for Count
+	pending []byte        // encoded records of the open chunk
+	pendCnt int
+	scratch [binary.MaxVarintLen64 + 2]byte
+	err     error
+	wrote   bool
+}
+
+func (tw *encoder) writeHeader() {
 	if tw.wrote {
 		return
 	}
@@ -119,43 +234,21 @@ func (tw *Writer) writeHeader() {
 }
 
 // Record implements Recorder, encoding one reference.
-func (tw *Writer) Record(r Ref) {
-	if tw.err != nil {
-		return
-	}
-	if tw.closed {
-		tw.err = errClosed
-		return
-	}
-	tw.writeHeader()
-	if tw.err != nil {
-		return
-	}
-	if r.Kind >= numKinds {
-		tw.err = errBadKind
-		return
-	}
-	delta := int64(r.Addr - tw.last[r.Kind])
-	tw.last[r.Kind] = r.Addr
-	tw.pending = append(tw.pending, byte(r.Kind), r.Size)
-	tw.pending = binary.AppendVarint(tw.pending, delta)
-	tw.pendCnt++
-	tw.n++
-	if tw.pendCnt >= frameRecs {
-		tw.emitChunk()
-	}
+func (tw *encoder) Record(r Ref) {
+	tw.RecordBatch([]Ref{r})
 }
 
-// RecordBatch implements BatchRecorder: the whole batch is delta-encoded
-// into the open chunk's buffer in one pass, cutting chunks as the record
-// bound fills, so the encoder does delta bookkeeping — not I/O plumbing —
-// per reference.
-func (tw *Writer) RecordBatch(refs []Ref) {
+// RecordBatch implements BatchRecorder and publishes the new count.
+func (tw *encoder) RecordBatch(refs []Ref) {
+	tw.encode(refs)
+	tw.count.Store(tw.n)
+}
+
+// encode delta-encodes the whole batch into the open chunk's buffer in
+// one pass, cutting chunks as the record bound fills, so the encoder does
+// delta bookkeeping — not I/O plumbing — per reference.
+func (tw *encoder) encode(refs []Ref) {
 	if tw.err != nil {
-		return
-	}
-	if tw.closed {
-		tw.err = errClosed
 		return
 	}
 	tw.writeHeader()
@@ -188,7 +281,7 @@ func (tw *Writer) RecordBatch(refs []Ref) {
 
 // emitChunk frames and writes the open chunk: length varint, payload,
 // record-count varint, then a CRC32 over all of the preceding bytes.
-func (tw *Writer) emitChunk() {
+func (tw *encoder) emitChunk() {
 	if tw.err != nil || tw.pendCnt == 0 {
 		return
 	}
@@ -214,37 +307,20 @@ func (tw *Writer) emitChunk() {
 	tw.pendCnt = 0
 }
 
-// Count returns the number of records successfully encoded.
-func (tw *Writer) Count() uint64 { return tw.n }
-
-// Flush writes the header (if not yet written), frames the open chunk,
-// and flushes buffered output, making everything recorded so far durable.
-// The trace is still incomplete until Close writes the trailer; a reader
-// of a flushed-but-unclosed trace reports ErrTruncated at its end.
-func (tw *Writer) Flush() error {
-	if tw.err != nil {
-		return tw.err
-	}
+// flush writes the header (if not yet written), frames the open chunk
+// and flushes buffered output.
+func (tw *encoder) flush() error {
 	tw.writeHeader()
 	tw.emitChunk()
-	if tw.err != nil {
-		return tw.err
+	if tw.err == nil {
+		tw.err = tw.w.Flush()
 	}
-	return tw.w.Flush()
+	return tw.err
 }
 
-// Close completes the trace: it frames the open chunk, writes the
-// zero-length trailer carrying the total record count, and flushes. It
-// does not close the underlying io.Writer. Close is idempotent; recording
-// after Close is an error.
-func (tw *Writer) Close() error {
-	if tw.closed {
-		return tw.err
-	}
-	tw.closed = true
-	if tw.err != nil {
-		return tw.err
-	}
+// close frames the open chunk, writes the zero-length trailer carrying
+// the total record count, and flushes.
+func (tw *encoder) close() error {
 	tw.writeHeader()
 	tw.emitChunk()
 	if tw.err != nil {
@@ -258,7 +334,8 @@ func (tw *Writer) Close() error {
 		tw.err = err
 		return err
 	}
-	return tw.w.Flush()
+	tw.err = tw.w.Flush()
+	return tw.err
 }
 
 // Reader decodes a trace file produced by Writer, either version: current

@@ -318,3 +318,19 @@ func FuzzChunkTrailer(f *testing.F) {
 		t.Fatal("reader produced implausibly many records without EOF")
 	})
 }
+
+// FuzzWriterRoundTrip: any stream, split at random across Record,
+// RecordBatch, Exchange and Flush, reads back as itself with an exact
+// Count, in the bytes the synchronous encoder writes for it.
+func FuzzWriterRoundTrip(f *testing.F) {
+	f.Add(uint64(1), uint16(100), []byte{0, 1, 2, 3})
+	f.Add(uint64(2), uint16(3*DefaultChunk), []byte{0xfe, 3, 0x41, 0, 0xfd, 0x82})
+	f.Add(uint64(3), uint16(0), []byte{3, 3})
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, ops []byte) {
+		got, want := playOps(t, writerRefs(seed, int(n)), ops)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("Writer wrote %d bytes that differ from the synchronous encoder's %d",
+				len(got), len(want))
+		}
+	})
+}

@@ -6,6 +6,12 @@
 // fetches, loads, and stores over a simulated virtual address space — to a
 // Recorder. Recorders either count, forward to a cache hierarchy, or encode
 // the stream to a compact binary format that cmd/tracesim can replay.
+//
+// Producing a stream and consuming it are two stages joined by a
+// Pipeline, as in the Pixie → DineroIII pipeline: a Writer encodes on the
+// pipeline's goroutine while the workload emits, and cmd/tracesim decodes
+// while the pipeline's goroutine simulates. At GOMAXPROCS=1 both run
+// inline, on the caller's goroutine.
 package trace
 
 import "fmt"
