@@ -8,8 +8,6 @@ package threadsched_test
 
 import (
 	"bytes"
-	"fmt"
-	"sync"
 	"testing"
 
 	"threadsched"
@@ -355,56 +353,43 @@ func BenchmarkAblationWorkStealing(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelFork measures fork throughput of the sharded
-// concurrent path (Config.ParallelFork) against the serial
-// single-producer path on the same workload: goroutine counts beyond 1
-// split the same total fork count. On multicore hardware the sharded
-// path scales near-linearly; ns/thread is the figure of merit.
+// BenchmarkParallelFork measures the single-producer fork path, the one
+// Fork has, in ns/thread. The serial case forks 65,536 null threads into
+// 4,096 bins (16 threads each); the sparse case forks 16,384 threads into
+// as many one-thread bins, the shape a small scheduler block gives (Figure
+// 4's C/32 matmul), spread over three dimensions so that hash chains stay
+// four bins long and B/op shows what each bin's first thread group costs.
+// Each iteration drains the schedule outside the timed fork phase, so the
+// free lists are warm from the second iteration on.
 func BenchmarkParallelFork(b *testing.B) {
-	const total = 1 << 16
 	null := func(int, int) {}
-	hint := func(j int) (uint64, uint64) {
-		return uint64(j%64) << 14, uint64((j/64)%64) << 14
+	cases := []struct {
+		name    string
+		threads int
+		hint    func(j int) (uint64, uint64, uint64)
+	}{
+		{"serial", 1 << 16, func(j int) (uint64, uint64, uint64) {
+			return uint64(j%64) << 14, uint64((j/64)%64) << 14, 0
+		}},
+		{"sparse", 1 << 14, func(j int) (uint64, uint64, uint64) {
+			return uint64(j%32) << 14, uint64((j/32)%32) << 14, uint64(j/1024) << 14
+		}},
 	}
-	b.Run("serial", func(b *testing.B) {
-		s := core.New(core.Config{CacheSize: 1 << 22, BlockSize: 1 << 14})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < total; j++ {
-				h1, h2 := hint(j)
-				s.Fork(null, j, 0, h1, h2, 0)
-			}
-			b.StopTimer()
-			s.Run(false) // drain outside the timed fork phase
-			b.StartTimer()
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*total), "ns/thread")
-	})
-	for _, g := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("sharded-g%d", g), func(b *testing.B) {
-			s := core.New(core.Config{CacheSize: 1 << 22, BlockSize: 1 << 14, ParallelFork: true})
-			per := total / g
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			s := core.New(core.Config{CacheSize: 1 << 22, BlockSize: 1 << 14})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				for w := 0; w < g; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for j := w * per; j < (w+1)*per; j++ {
-							h1, h2 := hint(j)
-							s.Fork(null, j, 0, h1, h2, 0)
-						}
-					}(w)
+				for j := 0; j < c.threads; j++ {
+					h1, h2, h3 := c.hint(j)
+					s.Fork(null, j, 0, h1, h2, h3)
 				}
-				wg.Wait()
 				b.StopTimer()
 				s.Run(false)
 				b.StartTimer()
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*total), "ns/thread")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.threads), "ns/thread")
 		})
 	}
 }

@@ -1,10 +1,6 @@
 package matmul
 
-import (
-	"sync"
-
-	"threadsched/internal/core"
-)
+import "threadsched/internal/core"
 
 // Interchanged computes C = A·B with the j,k,i loop order (column-major
 // storage), lifting B[k,j] into a register in the middle loop. This is the
@@ -288,11 +284,10 @@ func tiledTransposedKernelRef(C, At, B []float64, n, ii, iend, jj, jend, kk, ken
 // hint addresses are synthetic but preserve the layout of the real data,
 // which is all the binning algorithm consumes. A is restored before
 // returning.
-// With a ParallelScheduler the fork loop itself is split across the
-// worker count (the sharded fork path makes concurrent Fork safe) and Run
-// drains the bins on the worker pool. Bin contents and RunStats depend
-// only on the hints, not on fork order, so serial and parallel runs
-// produce identical locality statistics.
+// With a ParallelScheduler, Run drains the bins on the worker pool; the
+// fork loop stays on the calling goroutine (Fork is single-producer).
+// Bin contents and RunStats depend only on the hints, so serial and
+// parallel runs produce identical locality statistics.
 func Threaded(C, A, B []float64, n int, sched *core.Scheduler) {
 	Transpose(A, n)
 	const aBase = 0x1000_0000
@@ -307,40 +302,11 @@ func Threaded(C, A, B []float64, n int, sched *core.Scheduler) {
 		}
 		C[Idx(n, i, j)] = sum
 	}
-	forkRows := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for j := 0; j < n; j++ {
-				sched.Fork(dot, i, j, aBase+uint64(i*n*8), bBase+uint64(j*n*8), 0)
-			}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			sched.Fork(dot, i, j, aBase+uint64(i*n*8), bBase+uint64(j*n*8), 0)
 		}
-	}
-	if forkers := parallelForkers(sched); forkers > 1 {
-		var wg sync.WaitGroup
-		chunk := (n + forkers - 1) / forkers
-		for lo := 0; lo < n; lo += chunk {
-			wg.Add(1)
-			go func(lo int) {
-				defer wg.Done()
-				forkRows(lo, min(lo+chunk, n))
-			}(lo)
-		}
-		wg.Wait()
-	} else {
-		forkRows(0, n)
 	}
 	sched.Run(false)
 	Transpose(A, n)
-}
-
-// parallelForkers returns how many goroutines may fork into sched
-// concurrently: its worker count when the sharded fork path is enabled,
-// else one.
-func parallelForkers(sched *core.Scheduler) int {
-	if !sched.ConcurrentFork() {
-		return 1
-	}
-	if w := sched.Workers(); w > 1 {
-		return w
-	}
-	return 1
 }

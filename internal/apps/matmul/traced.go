@@ -263,13 +263,12 @@ func ThreadedScheduler(l2Size uint64) *core.Scheduler {
 }
 
 // ParallelScheduler is ThreadedScheduler's multicore counterpart: the same
-// binning plus sharded concurrent fork and the segmented parallel run
-// across workers. Close it to release the worker pool.
+// binning plus the segmented parallel run across workers. Close it to
+// release the worker pool.
 func ParallelScheduler(l2Size uint64, workers int) *core.Scheduler {
 	return core.New(core.Config{
-		CacheSize:    l2Size,
-		BlockSize:    l2Size / 2,
-		Workers:      workers,
-		ParallelFork: true,
+		CacheSize: l2Size,
+		BlockSize: l2Size / 2,
+		Workers:   workers,
 	})
 }

@@ -277,7 +277,7 @@ func TestTracedThreadedMatchesUnthreaded(t *testing.T) {
 	as := vm.NewAddressSpace()
 	tr := NewTracer(cpu, as, len(b.Bodies))
 	th := sim.NewThreads(cpu, as, ThreadedScheduler(1<<16))
-	StepThreadedTraced(b, th, tr)
+	StepThreadedTraced(b, &Tree{}, th, tr)
 	for i := range a.Bodies {
 		if a.Bodies[i] != b.Bodies[i] {
 			t.Fatalf("traced threaded step diverged at body %d", i)
@@ -307,7 +307,7 @@ func TestThreadingCutsL2CapacityMisses(t *testing.T) {
 		if threaded {
 			sched := ThreadedScheduler(mach.L2CacheSize())
 			th := sim.NewThreads(cpu, as, sched)
-			StepThreadedTraced(s, th, tr)
+			StepThreadedTraced(s, &Tree{}, th, tr)
 			rs = sched.LastRun()
 		} else {
 			StepUnthreaded(s, tr)

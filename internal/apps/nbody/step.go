@@ -1,8 +1,6 @@
 package nbody
 
 import (
-	"sync"
-
 	"threadsched/internal/core"
 	"threadsched/internal/sim"
 )
@@ -84,76 +82,44 @@ func (f schedForker) Run(keep bool) { f.s.Run(keep) }
 // identical to StepUnthreaded: forces come from the tree snapshot, so
 // execution order cannot change them.
 //
-// With a ParallelScheduler and no tracer, forking splits across the
-// worker count and Run drains bins on the worker pool; body threads write
-// disjoint bodies off an immutable tree snapshot, so the parallel run is
-// race-free, bit-identical, and — bins being a pure function of the hints
-// — reports identical RunStats.
+// With a ParallelScheduler, Run drains bins on the worker pool while the
+// fork loop stays on the calling goroutine (Fork is single-producer); body
+// threads write disjoint bodies off an immutable tree snapshot, so the
+// parallel run is race-free, bit-identical, and — bins being a pure
+// function of the hints — reports identical RunStats.
 func StepThreaded(s *System, sched *core.Scheduler, tr *Tracer) *Tree {
 	t := &Tree{}
-	stepThreadedInto(t, s, schedForker{sched}, sched.CacheSize(), tr, schedForkers(sched, tr))
+	StepThreadedReuse(s, t, sched, tr)
 	return t
 }
 
 // StepThreadedReuse is StepThreaded rebuilding into t's node pool.
 func StepThreadedReuse(s *System, t *Tree, sched *core.Scheduler, tr *Tracer) {
-	stepThreadedInto(t, s, schedForker{sched}, sched.CacheSize(), tr, schedForkers(sched, tr))
-}
-
-// schedForkers returns how many goroutines may fork into sched
-// concurrently. The tracer charges a single simulated CPU and is not safe
-// for concurrent use, so traced runs always fork serially.
-func schedForkers(sched *core.Scheduler, tr *Tracer) int {
-	if tr != nil || !sched.ConcurrentFork() {
-		return 1
-	}
-	if w := sched.Workers(); w > 1 {
-		return w
-	}
-	return 1
+	stepThreadedInto(t, s, schedForker{sched}, sched.CacheSize(), tr)
 }
 
 func stepThreaded(s *System, f forker, cacheSize uint64, tr *Tracer) *Tree {
 	t := &Tree{}
-	stepThreadedInto(t, s, f, cacheSize, tr, 1)
+	stepThreadedInto(t, s, f, cacheSize, tr)
 	return t
 }
 
-func stepThreadedInto(t *Tree, s *System, f forker, cacheSize uint64, tr *Tracer, forkers int) {
+func stepThreadedInto(t *Tree, s *System, f forker, cacheSize uint64, tr *Tracer) {
 	t.Rebuild(s, tr)
 	// One closure for every thread: forking must stay allocation-free.
 	body := func(i, _ int) { applyBody(s, t, i, tr) }
-	forkRange := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			h1, h2, h3 := Hints(t, cacheSize, s.Bodies[i].Pos)
-			f.Fork(body, i, 0, h1, h2, h3)
-		}
-	}
-	if forkers > 1 {
-		var wg sync.WaitGroup
-		chunk := (len(s.Bodies) + forkers - 1) / forkers
-		for lo := 0; lo < len(s.Bodies); lo += chunk {
-			hi := lo + chunk
-			if hi > len(s.Bodies) {
-				hi = len(s.Bodies)
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				forkRange(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	} else {
-		forkRange(0, len(s.Bodies))
+	for i := range s.Bodies {
+		h1, h2, h3 := Hints(t, cacheSize, s.Bodies[i].Pos)
+		f.Fork(body, i, 0, h1, h2, h3)
 	}
 	f.Run(false)
 }
 
-// StepThreadedTraced is StepThreaded through the traced scheduler wrapper,
-// so fork/run overhead is charged to the simulation as well.
-func StepThreadedTraced(s *System, th *sim.Threads, tr *Tracer) *Tree {
-	return stepThreaded(s, th, th.Sched.CacheSize(), tr)
+// StepThreadedTraced is StepThreadedReuse through the traced scheduler
+// wrapper, so fork/run overhead is charged to the simulation as well. It
+// rebuilds into t's node pool, so a multi-step run keeps one tree.
+func StepThreadedTraced(s *System, t *Tree, th *sim.Threads, tr *Tracer) {
+	stepThreadedInto(t, s, th, th.Sched.CacheSize(), tr)
 }
 
 // StepThreadedWith runs a threaded step through an arbitrary Forker
@@ -169,12 +135,11 @@ func ThreadedScheduler(l2Size uint64) *core.Scheduler {
 }
 
 // ParallelScheduler is ThreadedScheduler's multicore counterpart: the
-// same binning plus sharded concurrent fork and the segmented parallel
-// run across workers. Close it to release the worker pool.
+// same binning plus the segmented parallel run across workers. Close it
+// to release the worker pool.
 func ParallelScheduler(l2Size uint64, workers int) *core.Scheduler {
 	return core.New(core.Config{
-		CacheSize:    l2Size,
-		Workers:      workers,
-		ParallelFork: true,
+		CacheSize: l2Size,
+		Workers:   workers,
 	})
 }

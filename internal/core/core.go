@@ -26,55 +26,59 @@
 // 50%"), and parallel bin execution across workers (the symmetric
 // multiprocessor extension the paper's §7 leaves as future work).
 //
-// # Parallel fork and run
+// # Parallel run
 //
-// Two Config switches extend the §7 SMP conjecture from "run bins in
-// parallel" to a fully parallel fork → run pipeline:
-//
-//   - ParallelFork shards the fork-side state — hash-cell collision
-//     chains, ready lists, free lists, and the pending/forked counters —
-//     into lock stripes so N goroutines can Fork concurrently with
-//     near-linear throughput. Each hash cell belongs to exactly one
-//     stripe; a fork locks only the stripe owning its bin's cell.
-//   - Workers > 1 makes Run execute bins in parallel. The dispatcher
-//     partitions the bin tour into contiguous segments, one per worker,
-//     weighted by per-bin thread count, so spatially adjacent bins (which
-//     the Morton/Hilbert tours deliberately place next to each other, and
-//     which therefore share cache lines) stay on one worker's cache. Idle
-//     workers rebalance by stealing the upper half of the largest
-//     remaining segment — stolen work is itself a contiguous tour run.
-//     Owners claim bins in chunks of at most DefaultStealChunk. This is
-//     the only parallel dispatcher: a one-bin-at-a-time atomic-counter
-//     baseline and a topology-aware bin tree were both measured against
-//     it and deleted, the first because it scatters tour neighbours
-//     across caches (internal/smp.CompareDispatch keeps that finding),
-//     the second because it never beat the flat segments.
+// Config.Workers > 1 extends the §7 SMP conjecture: Run executes bins in
+// parallel. The dispatcher partitions the bin tour into contiguous
+// segments, one per worker, weighted by per-bin thread count, so
+// spatially adjacent bins (which the Morton/Hilbert tours deliberately
+// place next to each other, and which therefore share cache lines) stay
+// on one worker's cache. Idle workers rebalance by stealing the upper
+// half of the largest remaining segment — stolen work is itself a
+// contiguous tour run. Owners claim bins in chunks of at most
+// DefaultStealChunk. This is the only parallel dispatcher: a
+// one-bin-at-a-time atomic-counter baseline and a topology-aware bin tree
+// were both measured against it and deleted, the first because it
+// scatters tour neighbours across caches (internal/smp.CompareDispatch
+// keeps that finding), the second because it never beat the flat
+// segments. Fork is single-producer, as the paper's th_fork is: a sharded
+// concurrent-fork path was measured slower than one forking goroutine
+// and deleted.
 //
 // Run's worker goroutines persist in a pool across Run calls (amortizing
 // spawn cost for keep=true re-runs); Close releases them. The bin tour is
 // memoized between runs and recomputed only when a new bin was allocated.
 //
+// # Thread groups
+//
+// A bin's first thread group holds FirstGroupSize records and each later
+// group in the same bin doubles the previous one, up to Config.GroupSize.
+// A bin therefore pays for about what it holds — a one-thread bin costs
+// one small group, not a full one — while a dense bin still ends in
+// full-size groups. Released groups go back to one free list per size
+// class, so a steady-state fork/run cycle allocates nothing.
+//
 // # Thread-safety contract
 //
 // The zero configuration is the paper's sequential-program facility:
-// nothing may be called concurrently. Each mode widens that precisely:
+// nothing may be called concurrently. Fork is single-producer; Workers
+// parallelizes Run only:
 //
-//   - ParallelFork permits concurrent Fork calls (and concurrent
-//     Stats/Pending/BinOccupancy readers) between runs. It does NOT
-//     permit Fork concurrently with Run: forkers must synchronize with
-//     the goroutine calling Run (e.g. sync.WaitGroup) before it starts.
-//     Fork panics if it observes a Run in progress.
 //   - Workers > 1 runs thread bodies concurrently with each other (every
 //     bin still executes entirely on one worker), so bodies must be safe
 //     to run in parallel. Run itself must still be called from one
-//     goroutine at a time.
+//     goroutine at a time, and Fork must never overlap it: Fork panics
+//     if it observes a Run in progress.
+//   - Stats, LastRun and Pending may be called during the
+//     thread-execution phase of a Run, whose bin population is frozen;
+//     a caller must synchronize with the end of a keep=false Run, whose
+//     release recycles the bins they walk.
 //   - RunEach is always sequential regardless of Workers.
 package core
 
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 
 	"threadsched/internal/obs"
 )
@@ -122,9 +126,13 @@ const (
 	// DefaultHashDim is the default per-dimension size of the 3-D hash
 	// table of bin pointers (DefaultHashDim³ cells total).
 	DefaultHashDim = 16
-	// DefaultGroupSize is the number of thread records per thread group;
+	// DefaultGroupSize is the capacity of a bin's largest thread groups;
 	// grouping amortizes allocation and keeps fork overhead flat (§3.2).
 	DefaultGroupSize = 256
+	// FirstGroupSize is the capacity of a bin's first thread group (or
+	// GroupSize, if that is smaller); each later group in the bin doubles
+	// the previous one, up to GroupSize.
+	FirstGroupSize = 16
 )
 
 // Config parameterizes a Scheduler. The zero value is usable once a cache
@@ -146,7 +154,8 @@ type Config struct {
 	// HashDim is the per-dimension hash table size (power of two); 0
 	// selects DefaultHashDim.
 	HashDim int
-	// GroupSize is the thread-group capacity; 0 selects
+	// GroupSize is the capacity of a bin's largest thread groups: a bin's
+	// groups grow from FirstGroupSize by doubling up to it. 0 selects
 	// DefaultGroupSize.
 	GroupSize int
 	// FoldSymmetric places threads with permuted hints — (hi, hj) and
@@ -168,34 +177,12 @@ type Config struct {
 	// chains first, and the parallel executor's ready heap yields the
 	// tallest chain first. False — the default — keeps (bin, fork) order.
 	CriticalPathFirst bool
-	// ParallelFork shards the fork-side state into lock stripes so Fork
-	// may be called from many goroutines concurrently (see the package
-	// doc's thread-safety contract). The serial fork path is unchanged
-	// when false.
-	ParallelFork bool
-	// ForkShards is the lock-stripe count used when ParallelFork is set,
-	// rounded up to a power of two; 0 selects a default derived from
-	// GOMAXPROCS.
-	ForkShards int
 	// Obs attaches the observability layer: per-worker scheduler metrics
 	// (steals, bins and threads per worker, segment drain times), worker
 	// timeline spans, and pprof labels on the worker pool. Nil (the
 	// default) disables all of it; the disabled path is a nil-check fast
 	// path that performs no timing calls and no allocation.
 	Obs *obs.Obs
-}
-
-// defaultForkShards sizes the lock striping at several stripes per
-// processor, so concurrent forkers rarely contend on the same stripe.
-func defaultForkShards() int {
-	n := 4 * runtime.GOMAXPROCS(0)
-	if n < 8 {
-		n = 8
-	}
-	if n > 256 {
-		n = 256
-	}
-	return int(ceilPow2(uint64(n)))
 }
 
 // DefaultCacheSize is used when a Config specifies no cache size; it is
@@ -229,11 +216,4 @@ func floorPow2(v uint64) uint64 {
 		return 0
 	}
 	return 1 << (63 - uint(bits.LeadingZeros64(v)))
-}
-
-func ceilPow2(v uint64) uint64 {
-	if v <= 1 {
-		return 1
-	}
-	return 1 << uint(bits.Len64(v-1))
 }

@@ -2,108 +2,14 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 // The tests in this file are the package's concurrency contract, written
-// to be run under -race (the Makefile's tier-1 gate does so): concurrent
-// Fork requires ParallelFork, parallel Run requires Workers > 1, and the
-// one overlap no mode permits — Fork during Run — panics deterministically.
-
-// TestConcurrentForkAllThreadsRun forks from many goroutines into
-// overlapping hint ranges, with concurrent Stats/Pending readers (allowed
-// under ParallelFork), then verifies nothing was lost or duplicated.
-func TestConcurrentForkAllThreadsRun(t *testing.T) {
-	const (
-		goroutines = 8
-		perG       = 2000
-	)
-	s := New(Config{CacheSize: 1 << 20, BlockSize: 1 << 12, ParallelFork: true})
-	counts := make([]int32, goroutines*perG)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	go func() { // reader exercising the stripe-locked aggregates
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				_ = s.Pending()
-				_ = s.Stats()
-			}
-		}
-	}()
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for j := 0; j < perG; j++ {
-				id := g*perG + j
-				// Overlapping blocks across goroutines: stripe contention
-				// and shared bins are the point.
-				s.Fork(func(a1, _ int) { atomic.AddInt32(&counts[a1], 1) }, id, 0,
-					uint64(j%64)<<12, uint64(g)<<12, 0)
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(stop)
-	if got := s.Pending(); got != goroutines*perG {
-		t.Fatalf("Pending = %d, want %d", got, goroutines*perG)
-	}
-	st := s.Stats()
-	if st.TotalForked != goroutines*perG {
-		t.Fatalf("TotalForked = %d, want %d", st.TotalForked, goroutines*perG)
-	}
-	s.Run(false)
-	for id, c := range counts {
-		if c != 1 {
-			t.Fatalf("thread %d ran %d times", id, c)
-		}
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("Pending after run = %d", s.Pending())
-	}
-}
-
-// TestShardedForkMatchesSerialBinning drives the sharded path from one
-// goroutine with the exact fork sequence of the serial path and checks
-// the bin structure is identical (the sharding must not change *what* is
-// built, only who may build it).
-func TestShardedForkMatchesSerialBinning(t *testing.T) {
-	fork := func(s *Scheduler) {
-		for j := 0; j < 3000; j++ {
-			s.Fork(func(int, int) {}, j, 0,
-				uint64(j%17)<<14, uint64(j%5)<<14, uint64(j%3)<<14)
-		}
-	}
-	serial := New(Config{CacheSize: 1 << 20, BlockSize: 1 << 14})
-	sharded := New(Config{CacheSize: 1 << 20, BlockSize: 1 << 14, ParallelFork: true})
-	fork(serial)
-	fork(sharded)
-	ss, ps := serial.Stats(), sharded.Stats()
-	if ss.BinsUsed != ps.BinsUsed || ss.Pending != ps.Pending ||
-		ss.MinPerBin != ps.MinPerBin || ss.MaxPerBin != ps.MaxPerBin {
-		t.Fatalf("serial stats %+v != sharded stats %+v", ss, ps)
-	}
-	// Per-bin occupancy must match as a multiset (ready-list order may
-	// differ: stripes keep their own allocation-order lists).
-	so, po := serial.BinOccupancy(), sharded.BinOccupancy()
-	hist := make(map[int]int)
-	for _, n := range so {
-		hist[n]++
-	}
-	for _, n := range po {
-		hist[n]--
-	}
-	for n, d := range hist {
-		if d != 0 {
-			t.Fatalf("occupancy multiset differs at count %d (delta %d)", n, d)
-		}
-	}
-}
+// to be run under -race (the Makefile's tier-1 gate does so): Fork is
+// single-producer, parallel Run requires Workers > 1, and the one overlap
+// no mode permits — Fork during Run — panics deterministically.
 
 // TestParallelRunWorkerCounts runs the segmented dispatcher at worker
 // counts {2, 4, NumCPU} and checks every thread runs exactly once.
@@ -197,84 +103,30 @@ func TestTreeRunKeepsBinsOnOneWorker(t *testing.T) {
 	}
 }
 
-// TestParallelForkThenParallelRun is the full pipeline: concurrent fork
-// into a sharded table, then a segmented parallel run, repeated so free
-// lists and the worker pool recycle.
-func TestParallelForkThenParallelRun(t *testing.T) {
-	s := New(Config{CacheSize: 1 << 20, BlockSize: 1 << 12, ParallelFork: true, Workers: 4})
-	defer s.Close()
-	for round := 0; round < 3; round++ {
-		const goroutines, perG = 4, 1000
-		var ran atomic.Int64
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for j := 0; j < perG; j++ {
-					s.Fork(func(int, int) { ran.Add(1) }, j, g,
-						uint64(j%50)<<12, uint64(g%2)<<12, 0)
-				}
-			}(g)
-		}
-		wg.Wait() // forkers must synchronize with Run; see the contract
-		s.Run(false)
-		if got := ran.Load(); got != goroutines*perG {
-			t.Fatalf("round %d: ran %d, want %d", round, got, goroutines*perG)
-		}
-	}
-}
-
 // TestForkDuringRunPanics documents the contract's one hard prohibition:
-// Fork must never overlap Run, in any mode — ParallelFork widens Fork
-// against Fork, never Fork against Run. The scheduler detects the misuse
-// and panics rather than corrupting the bin structures.
+// Fork must never overlap Run, in any mode. The scheduler detects the
+// misuse and panics rather than corrupting the bin structures.
 func TestForkDuringRunPanics(t *testing.T) {
-	for _, parallelFork := range []bool{false, true} {
-		s := New(Config{CacheSize: 1 << 20, ParallelFork: parallelFork})
-		s.Fork(func(int, int) {
-			// A thread body forking into its own scheduler mid-run.
-			s.Fork(func(int, int) {}, 0, 0, 0, 0, 0)
-		}, 0, 0, 0, 0, 0)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("ParallelFork=%v: Fork during Run did not panic", parallelFork)
-				}
-			}()
-			s.Run(false)
+	s := New(Config{CacheSize: 1 << 20})
+	s.Fork(func(int, int) {
+		// A thread body forking into its own scheduler mid-run.
+		s.Fork(func(int, int) {}, 0, 0, 0, 0, 0)
+	}, 0, 0, 0, 0, 0)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Fork during Run did not panic")
+			}
 		}()
-		// The guard must reset even on the panic path: a fresh cycle works.
-		ran := false
-		s.Init(0, 0)
-		s.Fork(func(int, int) { ran = true }, 0, 0, 0, 0, 0)
 		s.Run(false)
-		if !ran {
-			t.Fatalf("ParallelFork=%v: scheduler unusable after recovered misuse", parallelFork)
-		}
-	}
-}
-
-// TestKeepReRunsSharded exercises keep semantics and lifetime counters on
-// the sharded path (Init folding stripe counters, release preserving
-// them).
-func TestKeepReRunsSharded(t *testing.T) {
-	s := New(Config{CacheSize: 1 << 20, BlockSize: 1 << 14, ParallelFork: true})
-	runs := 0
-	s.Fork(func(int, int) { runs++ }, 0, 0, 0, 0, 0)
-	s.Run(true)
-	s.Run(true)
+	}()
+	// The guard must reset even on the panic path: a fresh cycle works.
+	ran := false
+	s.Init(0, 0)
+	s.Fork(func(int, int) { ran = true }, 0, 0, 0, 0, 0)
 	s.Run(false)
-	if runs != 3 {
-		t.Fatalf("thread ran %d times under keep, want 3", runs)
-	}
-	st := s.Stats()
-	if st.TotalForked != 1 || st.TotalRun != 3 || st.Runs != 3 {
-		t.Errorf("stats = %+v", st)
-	}
-	s.Init(0, 0) // must preserve the lifetime fork count
-	if got := s.Stats().TotalForked; got != 1 {
-		t.Errorf("TotalForked after Init = %d, want 1", got)
+	if !ran {
+		t.Fatal("scheduler unusable after recovered misuse")
 	}
 }
 
@@ -318,4 +170,31 @@ func TestPersistentPoolReuse(t *testing.T) {
 		t.Fatalf("goroutines grew across keep re-runs: %d -> %d", before, after)
 	}
 	s.Run(false)
+}
+
+// TestKeepReRunsSharded exercises keep semantics and lifetime counters when
+// bins are spread across the parallel-run workers: every keep re-run runs
+// each thread once more, and Init preserves the lifetime counters. (The
+// name dates from a striped fork table that Fork no longer uses.)
+func TestKeepReRunsSharded(t *testing.T) {
+	s := New(Config{CacheSize: 1 << 20, BlockSize: 1 << 14, Workers: 4})
+	defer s.Close()
+	var runs atomic.Int64
+	for i := 0; i < 8; i++ {
+		s.Fork(func(int, int) { runs.Add(1) }, i, 0, uint64(i)<<14, 0, 0)
+	}
+	s.Run(true)
+	s.Run(true)
+	s.Run(false)
+	if got := runs.Load(); got != 24 {
+		t.Fatalf("threads ran %d times under keep, want 24", got)
+	}
+	st := s.Stats()
+	if st.TotalForked != 8 || st.TotalRun != 24 || st.Runs != 3 {
+		t.Errorf("stats = %+v", st)
+	}
+	s.Init(0, 0) // must preserve the lifetime counters
+	if st := s.Stats(); st.TotalForked != 8 || st.TotalRun != 24 {
+		t.Errorf("stats after Init = %+v", st)
+	}
 }

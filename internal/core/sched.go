@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sort"
 	"sync/atomic"
+	"unsafe"
 )
 
 // threadRec is one scheduled thread: "a void function pointer and the two
@@ -16,7 +17,9 @@ type threadRec struct {
 
 // group batches thread records within a bin: "an array of these structures
 // plus an integer to count the number of threads actually in the group and
-// a pointer to the next thread group in the bin" (§3.2).
+// a pointer to the next thread group in the bin" (§3.2). A bin's groups
+// grow geometrically (see newGroup), so cap(recs) names the group's size
+// class.
 type group struct {
 	recs []threadRec
 	next *group
@@ -38,8 +41,8 @@ type bin struct {
 
 // Scheduler is the thread package. With the zero configuration it is the
 // paper's sequential-program facility — nothing may be called
-// concurrently; Config.ParallelFork and Config.Workers widen the contract
-// as described in the package documentation.
+// concurrently; Config.Workers widens the contract as described in the
+// package documentation.
 type Scheduler struct {
 	cfg        Config
 	blockShift uint
@@ -53,20 +56,16 @@ type Scheduler struct {
 	binsUsed  int
 	pending   int
 
-	freeBins   *bin
-	freeGroups *group
-
-	// shards is non-nil iff cfg.ParallelFork: the fork-side state above
-	// (ready list, free lists, counters) then lives striped across the
-	// shards instead, and each hash cell's chain is guarded by the mutex
-	// of the shard owning it.
-	shards    []forkShard
-	shardMask uint64
+	freeBins *bin
+	// freeGroups holds one free list per group size class: class c holds
+	// groups of min(firstGroup<<c, GroupSize) records.
+	freeGroups []*group
+	firstGroup int // capacity of a bin's first group
 
 	// tourCache memoizes the sorted bin tour between runs; it is dropped
 	// on release/Init and rebuilt only when a bin was allocated since.
 	tourCache []*bin
-	tourStale bool // serial-path staleness mark (sharded mode uses shard.grew)
+	tourStale bool
 
 	// running flags an in-progress Run so Fork can detect — and reject
 	// with a clear panic — the one overlap no mode permits.
@@ -78,7 +77,7 @@ type Scheduler struct {
 	// Config.Obs is nil); see internal/core/obs.go for the metric set.
 	met schedObs
 
-	totalForked uint64 // serial-path count (sharded counts fold in via forkedCount)
+	totalForked uint64
 	totalRun    uint64
 	// runs and lastRun are written by Run/RunEach and read by Stats and
 	// LastRun, which are documented callable concurrently with a live
@@ -120,7 +119,12 @@ func New(cfg Config) *Scheduler {
 	if cfg.GroupSize <= 0 {
 		cfg.GroupSize = DefaultGroupSize
 	}
-	s := &Scheduler{cfg: cfg, met: newSchedObs(cfg.Obs)}
+	s := &Scheduler{cfg: cfg, met: newSchedObs(cfg.Obs), firstGroup: min(FirstGroupSize, cfg.GroupSize)}
+	classes := 1
+	for size := s.firstGroup; size < cfg.GroupSize; size *= 2 {
+		classes++
+	}
+	s.freeGroups = make([]*group, classes)
 	s.Init(cfg.BlockSize, uint64(cfg.HashDim))
 	return s
 }
@@ -150,24 +154,9 @@ func (s *Scheduler) Init(blockSize, hashDim uint64) {
 	s.binsUsed = 0
 	s.pending = 0
 	s.freeBins = nil
-	s.freeGroups = nil
+	clear(s.freeGroups)
 	s.tourCache = nil
 	s.tourStale = false
-	// Lifetime counters survive reconfiguration; fold the shard stripes'
-	// counts into the scheduler-level one before the shards are remade.
-	s.totalForked = s.forkedCount()
-	if s.cfg.ParallelFork {
-		n := s.cfg.ForkShards
-		if n <= 0 {
-			n = defaultForkShards()
-		}
-		n = int(ceilPow2(uint64(n)))
-		s.shards = make([]forkShard, n)
-		s.shardMask = uint64(n - 1)
-	} else {
-		s.shards = nil
-		s.shardMask = 0
-	}
 }
 
 // BlockSize returns the per-dimension block size currently in effect.
@@ -183,13 +172,8 @@ func (s *Scheduler) HashDim() int { return s.hashDim }
 // two mean Run executes serially on the calling goroutine.
 func (s *Scheduler) Workers() int { return s.cfg.Workers }
 
-// ConcurrentFork reports whether the scheduler was built with
-// Config.ParallelFork, i.e. whether Fork may be called from multiple
-// goroutines concurrently (never concurrently with Run).
-func (s *Scheduler) ConcurrentFork() bool { return s.shards != nil }
-
 // Pending returns the number of threads forked but not yet run.
-func (s *Scheduler) Pending() int { return s.pendingCount() }
+func (s *Scheduler) Pending() int { return s.pending }
 
 // cellIndex maps a bin key to its hash-table cell. hashDim is a power of
 // two, so the 3-D flattening ((k0·d + k1)·d + k2 with d = hashDim) reduces
@@ -204,25 +188,21 @@ func (s *Scheduler) cellIndex(key binKey) uint64 {
 // a thread to call f(arg1, arg2). The hints are memory addresses used as
 // scheduling hints; pass 0 for unused trailing dimensions (§3.1).
 //
-// Fork must never overlap a Run in progress, in any mode; it panics if it
-// detects that misuse. Concurrent Fork calls require Config.ParallelFork.
+// Fork is single-producer: calls must not overlap each other, and Fork
+// must never overlap a Run in progress; it panics if it detects the
+// latter.
 func (s *Scheduler) Fork(f Func, arg1, arg2 int, hint1, hint2, hint3 uint64) {
 	if s.running.Load() {
-		panic("core: Fork called during Run; fork and run phases must not overlap " +
-			"(ParallelFork only permits Fork calls to run concurrently with each other)")
+		panic("core: Fork called during Run; fork and run phases must not overlap")
 	}
 	key := binKey{hint1 >> s.blockShift, hint2 >> s.blockShift, hint3 >> s.blockShift}
 	if s.cfg.FoldSymmetric {
 		sortKey(&key)
 	}
-	if s.shards != nil {
-		s.forkSharded(key, threadRec{fn: f, arg1: arg1, arg2: arg2})
-		return
-	}
 	b := s.lookupBin(key)
 	g := b.tail
 	if g == nil || len(g.recs) == cap(g.recs) {
-		g = s.newGroup()
+		g = s.newGroup(g)
 		if b.tail == nil {
 			b.groups = g
 		} else {
@@ -271,15 +251,57 @@ func (s *Scheduler) newBin(key binKey) *bin {
 	return &bin{key: key}
 }
 
-func (s *Scheduler) newGroup() *group {
-	g := s.freeGroups
-	if g != nil {
-		s.freeGroups = g.next
+// newGroup returns an empty group to follow prev in its bin: a bin's first
+// group (prev nil) holds firstGroup records and each later one doubles
+// its predecessor, up to GroupSize. Sparse bins thus pay for what they
+// hold while dense bins still end in full-size groups (§3.2's "array of
+// these structures" need not be full size).
+func (s *Scheduler) newGroup(prev *group) *group {
+	size, class := s.firstGroup, 0
+	if prev != nil {
+		size = min(2*cap(prev.recs), s.cfg.GroupSize)
+		class = s.groupClass(size)
+	}
+	if g := s.freeGroups[class]; g != nil {
+		s.freeGroups[class] = g.next
 		g.next = nil
 		g.recs = g.recs[:0]
 		return g
 	}
-	return &group{recs: make([]threadRec, 0, s.cfg.GroupSize)}
+	return &group{recs: make([]threadRec, 0, size)}
+}
+
+// groupClass maps a group capacity to its free-list index: capacities
+// below GroupSize are firstGroup times a power of two, and GroupSize
+// itself is the last class.
+func (s *Scheduler) groupClass(size int) int {
+	if size >= s.cfg.GroupSize {
+		return len(s.freeGroups) - 1
+	}
+	return bits.Len(uint(size/s.firstGroup)) - 1
+}
+
+// ForkBytes bounds the heap a Scheduler with the default GroupSize holds
+// for threads pending threads spread over bins bins (1 ≤ bins ≤ threads).
+// Each bin costs its bin record, a tour slot and its first group. A bin of
+// t threads holds at most 2·t + 14 records in at most 1 + (t−1)/16
+// groups: its first group, then doubling groups whose unused tail is never
+// larger than the full groups before them. Groups above 512 bytes also
+// carry the allocator's 8-byte header and round up to a size class, at
+// most 7/6 of their records' bytes. One-thread bins meet the bound
+// exactly, and are the worst case per thread.
+func ForkBytes(threads, bins int) uint64 {
+	const (
+		rec     = uint64(unsafe.Sizeof(threadRec{}))
+		grp     = uint64(unsafe.Sizeof(group{}))
+		binSlot = uint64(unsafe.Sizeof(bin{})) + uint64(unsafe.Sizeof((*bin)(nil)))
+	)
+	if bins <= 0 {
+		return 0
+	}
+	t, b := uint64(threads), uint64(bins)
+	extra := t - b // threads beyond each bin's first
+	return b*(binSlot+grp+FirstGroupSize*rec) + extra*2*rec*7/6 + extra/FirstGroupSize*grp
 }
 
 // Run is th_run(keep): run all threads that have been scheduled by Fork,
@@ -425,7 +447,7 @@ func (s *Scheduler) RunEachContext(ctx context.Context, keep bool, beforeBin fun
 }
 
 func (s *Scheduler) snapshotRun(order []*bin) {
-	st := RunStats{Threads: s.pendingCount(), Bins: len(order)}
+	st := RunStats{Threads: s.pending, Bins: len(order)}
 	for i, b := range order {
 		if i == 0 || b.threads < st.MinPerBin {
 			st.MinPerBin = b.threads
@@ -444,12 +466,15 @@ func (s *Scheduler) snapshotRun(order []*bin) {
 // changes only when a bin is allocated (Fork of a new block) or the
 // schedule is destroyed, so keep=true re-runs skip the collect and sort.
 func (s *Scheduler) tour() []*bin {
-	stale := s.tourConsumeStale()
+	stale := s.tourStale
+	s.tourStale = false
 	if s.tourCache != nil && !stale {
 		return s.tourCache
 	}
-	bins := make([]*bin, 0, s.binsCount())
-	s.eachBin(func(b *bin) { bins = append(bins, b) })
+	bins := make([]*bin, 0, s.binsUsed)
+	for b := s.readyHead; b != nil; b = b.readyNext {
+		bins = append(bins, b)
+	}
 	switch s.cfg.Tour {
 	case TourMorton:
 		if tourOverflows(bins) {
@@ -492,69 +517,18 @@ func tourOverflows(bins []*bin) bool {
 	return false
 }
 
-// tourConsumeStale reports whether a bin was allocated since the cached
-// tour was built, clearing the staleness marks.
-func (s *Scheduler) tourConsumeStale() bool {
-	if s.shards == nil {
-		stale := s.tourStale
-		s.tourStale = false
-		return stale
-	}
-	stale := false
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		if sh.grew {
-			stale = true
-			sh.grew = false
-		}
-		sh.mu.Unlock()
-	}
-	return stale
-}
-
-// eachBin visits every bin in ready-list order: the single list in serial
-// mode, or each shard's list in shard order (holding that shard's lock)
-// under ParallelFork.
-func (s *Scheduler) eachBin(f func(*bin)) {
-	if s.shards == nil {
-		for b := s.readyHead; b != nil; b = b.readyNext {
-			f(b)
-		}
-		return
-	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for b := sh.readyHead; b != nil; b = b.readyNext {
-			f(b)
-		}
-		sh.mu.Unlock()
-	}
-}
-
 // release destroys thread specifications after a non-keep run, recycling
-// bins and groups through the free lists and clearing the hash table.
+// bins and groups through the free lists (each group to its size class's)
+// and clearing the hash table.
 func (s *Scheduler) release() {
 	s.tourCache = nil
-	if s.shards != nil {
-		for i := range s.shards {
-			sh := &s.shards[i]
-			sh.mu.Lock()
-			sh.release()
-			sh.mu.Unlock()
-		}
-		for i := range s.table {
-			s.table[i] = nil
-		}
-		return
-	}
 	for b := s.readyHead; b != nil; {
 		nextBin := b.readyNext
 		for g := b.groups; g != nil; {
 			nextGroup := g.next
-			g.next = s.freeGroups
-			s.freeGroups = g
+			class := s.groupClass(cap(g.recs))
+			g.next = s.freeGroups[class]
+			s.freeGroups[class] = g
 			g = nextGroup
 		}
 		b.groups, b.tail = nil, nil

@@ -149,6 +149,10 @@ func TestKeepReRuns(t *testing.T) {
 	if st.TotalForked != 1 || st.TotalRun != 3 || st.Runs != 4 {
 		t.Errorf("stats = %+v", st)
 	}
+	s.Init(0, 0) // must preserve the lifetime counters
+	if st := s.Stats(); st.TotalForked != 1 || st.TotalRun != 3 {
+		t.Errorf("stats after Init = %+v", st)
+	}
 }
 
 func TestForkAfterRunReusesFreeLists(t *testing.T) {

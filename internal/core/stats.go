@@ -36,31 +36,21 @@ type Stats struct {
 // the only case in which MinPerBin and MaxPerBin read 0.
 func (st Stats) Empty() bool { return st.BinsUsed == 0 }
 
-// Stats returns a snapshot of scheduler occupancy. Under ParallelFork it
-// may be called concurrently with anything except Init: occupancy is
-// summed under the stripe locks (release takes the same locks) and the
-// lifetime counters are read atomically; the snapshot is then a
-// consistent-enough aggregate, not a point-in-time cut across stripes.
-// Without ParallelFork it may additionally be called concurrently with
-// the thread-execution phase of a Run — the bin population is frozen
-// from the start of Run until its release phase — but a caller must
-// synchronize with the completion of a keep=false Run (whose release
-// recycles the bins Stats walks), exactly as it must for Fork.
+// Stats returns a snapshot of scheduler occupancy. It may be called
+// concurrently with the thread-execution phase of a Run — the bin
+// population is frozen from the start of Run until its release phase —
+// but a caller must synchronize with the completion of a keep=false Run
+// (whose release recycles the bins Stats walks), exactly as it must for
+// Fork.
 func (s *Scheduler) Stats() Stats {
 	st := Stats{
-		TotalForked: s.forkedCount(),
+		TotalForked: s.totalForked,
 		TotalRun:    atomic.LoadUint64(&s.totalRun),
 		Runs:        s.runs.Load(),
 		BlockSize:   s.cfg.BlockSize,
 		HashDim:     s.hashDim,
 	}
-	// BinsUsed, Pending, and the min/max all come from one bin walk rather
-	// than the stripe counters, so the Min ≥ 1 invariant holds even when a
-	// concurrent release has emptied a still-linked bin mid-snapshot.
-	s.eachBin(func(b *bin) {
-		if b.threads == 0 {
-			return
-		}
+	for b := s.readyHead; b != nil; b = b.readyNext {
 		if st.BinsUsed == 0 || b.threads < st.MinPerBin {
 			st.MinPerBin = b.threads
 		}
@@ -69,7 +59,7 @@ func (s *Scheduler) Stats() Stats {
 		}
 		st.BinsUsed++
 		st.Pending += b.threads
-	})
+	}
 	if st.BinsUsed > 0 {
 		st.AvgPerBin = float64(st.Pending) / float64(st.BinsUsed)
 	}
@@ -96,8 +86,10 @@ func (s *Scheduler) Snapshot() obs.Snapshot { return s.cfg.Obs.Snapshot() }
 // BinOccupancy returns the per-bin thread counts in ready-list order; used
 // by the harness to report thread distribution uniformity (§4.2, §4.4).
 func (s *Scheduler) BinOccupancy() []int {
-	out := make([]int, 0, s.binsCount())
-	s.eachBin(func(b *bin) { out = append(out, b.threads) })
+	out := make([]int, 0, s.binsUsed)
+	for b := s.readyHead; b != nil; b = b.readyNext {
+		out = append(out, b.threads)
+	}
 	return out
 }
 

@@ -9,12 +9,11 @@ import (
 // TestStatsConcurrentWithParallelRun is the -race regression for the
 // Stats data race: runs and lastRun used to be plain fields incremented
 // by Run but read by Stats/LastRun, which are documented callable
-// concurrently. Readers hammer Stats and LastRun while parallel Runs
-// (including keep=true re-runs, a RunEach, and the destructive release
-// of a keep=false Run) are live; ParallelFork puts the scheduler in the
-// mode whose contract permits readers across all of that.
+// concurrently with a Run's thread-execution phase. Readers hammer Stats
+// and LastRun while parallel keep=true re-runs and a RunEach are live,
+// and quiesce before the destructive release of the final keep=false Run.
 func TestStatsConcurrentWithParallelRun(t *testing.T) {
-	s := New(Config{Workers: 4, ParallelFork: true, BlockSize: 1 << 12})
+	s := New(Config{Workers: 4, BlockSize: 1 << 12})
 	defer s.Close()
 	var executed atomic.Uint64
 	const threads = 1 << 12
@@ -53,9 +52,9 @@ func TestStatsConcurrentWithParallelRun(t *testing.T) {
 		s.Run(true)
 	}
 	s.RunEach(true, nil)
-	s.Run(false)
 	close(stop)
-	wg.Wait()
+	wg.Wait() // readers quiesce before the destructive run below
+	s.Run(false)
 
 	if got := executed.Load(); got != (reruns+2)*threads {
 		t.Fatalf("executed %d threads, want %d", got, (reruns+2)*threads)
@@ -65,8 +64,8 @@ func TestStatsConcurrentWithParallelRun(t *testing.T) {
 	}
 }
 
-// TestStatsConcurrentWithRunSerialFork covers the narrower serial-fork
-// contract: without ParallelFork, Stats and LastRun are still legal
+// TestStatsConcurrentWithRunSerialFork covers the same contract with
+// readers live only across keep=true runs: Stats and LastRun are legal
 // during the thread-execution phase of a Run (here keep=true, so no
 // release happens while readers are live).
 func TestStatsConcurrentWithRunSerialFork(t *testing.T) {

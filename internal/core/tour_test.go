@@ -206,19 +206,27 @@ func TestTourMemoizedUntilBinAllocated(t *testing.T) {
 	}
 }
 
-// The sharded fork path must share the same memoization: stripe dirty
-// flags aggregate into one staleness decision.
+// The Morton tour shares the same memoization: the cached order survives
+// re-reads and is rebuilt only when Fork allocates a new bin. (The name
+// dates from a striped fork table whose per-stripe dirty flags fed this
+// staleness decision; one flag now does.)
 func TestTourMemoizedSharded(t *testing.T) {
-	s := New(Config{CacheSize: 1 << 20, BlockSize: 1 << 12, ParallelFork: true, Tour: TourMorton})
+	s := New(Config{CacheSize: 1 << 20, BlockSize: 1 << 12, Tour: TourMorton})
 	for i := 0; i < 64; i++ {
 		s.Fork(func(int, int) {}, i, 0, uint64(i)<<12, 0, 0)
 	}
 	o1 := s.tour()
 	if o2 := s.tour(); &o2[0] != &o1[0] {
-		t.Fatal("sharded tour re-collected with no bin allocated")
+		t.Fatal("morton tour re-collected with no bin allocated")
 	}
 	s.Fork(func(int, int) {}, 0, 0, uint64(99)<<12, 0, 0)
-	if o3 := s.tour(); len(o3) != 65 {
-		t.Fatalf("sharded tour has %d bins, want 65", len(o3))
+	o3 := s.tour()
+	if len(o3) != 65 {
+		t.Fatalf("morton tour has %d bins, want 65", len(o3))
+	}
+	for i := 1; i < len(o3); i++ {
+		if morton3(o3[i].key) < morton3(o3[i-1].key) {
+			t.Fatal("memoized morton tour out of sorted order")
+		}
 	}
 }

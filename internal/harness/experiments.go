@@ -62,9 +62,10 @@ func measureNullThreads(n int) (forkNS, runNS float64) {
 	s := core.New(core.Config{CacheSize: 2 << 20, BlockSize: 1 << 20})
 	null := func(int, int) {}
 	const blocks = 16
-	// Warm the free lists so steady-state cost is measured, as the paper
-	// measured a steady-state loop.
-	for i := 0; i < n/16; i++ {
+	// Warm the free lists with the timed loop's own shape, so every bin's
+	// chain of thread groups is recycled and steady-state cost is
+	// measured, as the paper measured a steady-state loop.
+	for i := 0; i < n; i++ {
 		s.Fork(null, 0, 0, uint64(i%blocks)<<20, uint64((i/blocks)%blocks)<<20, 0)
 	}
 	s.Run(false)

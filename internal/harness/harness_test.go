@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -196,12 +197,23 @@ func TestFigure4Shape(t *testing.T) {
 	}
 }
 
+// TestFigure4TableRenders also bounds what Figure 4 allocates on one
+// worker. Its C/32 threaded matmul forks 16,384 one-thread bins, which
+// cost a full-size thread group each (about 100 MB of the table's 194 MB)
+// before a bin's groups were sized to what it holds.
 func TestFigure4TableRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cache simulation")
 	}
 	c := Quick()
+	c.Parallel = 1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	tb := c.Figure4(nil)
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 80<<20 {
+		t.Errorf("Figure 4 at Parallel 1 allocated %.1f MB, want < 80 MB", float64(alloc)/(1<<20))
+	}
 	if len(tb.Rows) != len(Figure4RelativeBlocks) {
 		t.Fatalf("Figure 4 rows = %d, want %d", len(tb.Rows), len(Figure4RelativeBlocks))
 	}

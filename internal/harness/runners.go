@@ -186,16 +186,18 @@ func (c Config) nbodyRunner(v NBodyVariant, m machine.Machine, steps int, o sche
 	return func(cpu *sim.CPU, as *vm.AddressSpace) *core.Scheduler {
 		s := nbody.NewSystem(n, 42)
 		tr := nbody.NewTracer(cpu, as, n)
+		// One tree per job, rebuilt in place every step.
+		t := &nbody.Tree{}
 		switch v {
 		case NBodyUnthreaded:
 			for i := 0; i < steps; i++ {
-				nbody.StepUnthreaded(s, tr)
+				nbody.StepUnthreadedReuse(s, t, tr)
 			}
 		case NBodyThreaded:
 			sched := o.build(m.L2CacheSize(), core.DefaultBlockSize(m.L2CacheSize(), 3))
 			th := sim.NewThreads(cpu, as, sched)
 			for i := 0; i < steps; i++ {
-				nbody.StepThreadedTraced(s, th, tr)
+				nbody.StepThreadedTraced(s, t, th, tr)
 			}
 			return sched
 		}

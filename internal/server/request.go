@@ -63,16 +63,38 @@ type Request struct {
 // paper-scale geometry (hours of simulation) or an absurd iteration
 // count. Deadlines bound runaway jobs anyway. The caps bound the request
 // body, the problem size, and the iteration and step counts, and so a
-// job's workload arrays and its run time; they do not bound its
-// scheduler memory. The scheduler's thread groups grow with the number
-// of bins, which a small block multiplies: matmul at n=128 with block
-// 1024 makes 16,384 one-thread bins and allocates about 110 MB of groups.
-// That holds until thread groups are sized to their bins.
+// job's workload arrays and its run time.
+//
+// They also keep the scheduler memory a job forks within maxForkBytes
+// (512 MiB). core.ForkBytes gives that memory for threads spread over
+// bins: each bin's record and first group of 16 thread records, plus at
+// most 58 bytes for every further thread in a bin, since a bin's groups
+// double up to GroupSize. One-thread bins are the worst case, 488 bytes a
+// thread, and a small block makes them. The worst accepted job of each
+// kind:
+//   - matmul forks one thread per dot product before one run, n² threads,
+//     and a block below a column's 8·n bytes gives each its own bin; at
+//     maxMatmulN = 1024 (the paper's full size) that is 2²⁰ one-thread
+//     bins, 488 MiB. At maxDim it would be 16× that, so matmul_n has its
+//     own cap.
+//   - SOR forks iters × (n−2) threads before one run, binned by column
+//     only: at maxIters and maxDim, 4,192,256 threads in 4,094 bins, at
+//     most 234 MiB.
+//   - PDE runs once per iteration, n threads a run: at most 2 MiB.
+//   - N-body runs once per step, and a step's groups are recycled by the
+//     next, so maxSteps does not multiply it: maxBodies one-thread bins,
+//     at most 61 MiB.
+//
+// The traced thread wrapper adds one closure a thread on top.
+// TestWorstJobForkMemory recomputes these bounds from the caps.
 const (
 	maxRequestBytes = 1 << 20
 	maxDim          = 4096
+	maxMatmulN      = 1024
 	maxIters        = 1024
 	maxSteps        = 64
+	maxBodies       = 1 << 17
+	maxForkBytes    = 512 << 20
 )
 
 // ErrBadRequest is wrapped by every decode/validation failure, mapped to
@@ -124,12 +146,12 @@ func (r Request) validate() error {
 		v    int
 		max  int
 	}{
-		{"matmul_n", r.MatmulN, maxDim},
+		{"matmul_n", r.MatmulN, maxMatmulN},
 		{"pde_n", r.PDEN, maxDim},
 		{"pde_iters", r.PDEIters, maxIters},
 		{"sor_n", r.SORN, maxDim},
 		{"sor_iters", r.SORIters, maxIters},
-		{"nbody_n", r.NBodyN, 1 << 17},
+		{"nbody_n", r.NBodyN, maxBodies},
 		{"steps", r.Steps, maxSteps},
 	} {
 		if d.v < 0 || d.v > d.max {
