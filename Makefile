@@ -1,8 +1,9 @@
 # Tier-1 gate and convenience targets for the threadsched reproduction.
 #
-#   make check   — the full tier-1 gate: build, vet, tests, and the race
-#                  suites (core concurrency + trace pipeline + golden
-#                  equivalence of the batched/parallel simulation paths)
+#   make check   — the full gate: build, vet, tests, the race suites
+#                  (core concurrency + trace pipeline + golden
+#                  equivalence of the batched/parallel simulation paths),
+#                  the daemon smokes and results-check
 #   make serve-smoke — end-to-end daemon smoke: boot cmd/tracesimd, push
 #                  jobs through it with cmd/loadgen, require every one to
 #                  complete, then drain it with SIGTERM
@@ -11,6 +12,10 @@
 #                  and require every pre-crash job ID to resolve (with
 #                  its original result, or as failed-interrupted) and
 #                  idempotent resubmits to dedupe — under -race
+#   make results-check — regenerate locality-bench -size scaled and
+#                  diff it against results/scaled_run.txt under the quick
+#                  goldens' masking rule (host-timed cells and wall-time
+#                  notes); about a minute on two cores
 #   make fuzz-smoke — short bursts of the trace-format fuzzers (reader
 #                  robustness + Read/ReadBatch against the reference
 #                  decoder + chunk/trailer integrity oracle + sharded
@@ -36,9 +41,9 @@
 
 GO ?= go
 
-.PHONY: check build vet test race serve-smoke crash-smoke fuzz-smoke guard-pipeline guard-replay bench bench-core timeline
+.PHONY: check build vet test race serve-smoke crash-smoke results-check fuzz-smoke guard-pipeline guard-replay bench bench-core timeline
 
-check: build vet test race serve-smoke crash-smoke
+check: build vet test race serve-smoke crash-smoke results-check
 
 build:
 	$(GO) build ./...
@@ -56,6 +61,15 @@ race:
 	$(GO) test -race -count=10 -timeout 10m -run 'TestDepScheduler(Parallel|DataflowOrder|HaltedRun|ObservedParks)|TestCriticalPathFirst|TestPanicMatrix/wavefront|TestDependencyCycle|TestUnknownDependency' ./internal/core/
 	$(GO) test -race -timeout 10m -run 'Parallel|Exact|Threaded' ./internal/apps/...
 	$(GO) test -race -timeout 10m -run 'TestGoldenEquivalence|TestRunJobs|TestReplayBench|TestRunJob|TestConfigReuse|TestPipelinedJob' ./internal/harness/
+
+# The committed scaled run, pinned: TestScaledRunMatchesResults masks
+# both outputs with the goldens' maskHostTimed and names every line that
+# differs. Without -scaled-run that test skips, so go test ./... never
+# pays for the scaled geometry.
+results-check:
+	@mkdir -p bin
+	$(GO) run ./cmd/locality-bench -size scaled > bin/scaled_run.txt
+	$(GO) test -count=1 -run TestScaledRunMatchesResults ./internal/harness/ -args -scaled-run=$(CURDIR)/bin/scaled_run.txt
 
 # Short deterministic-corpus + 10s random bursts of the trace fuzzers;
 # enough to catch format regressions without a dedicated fuzz farm.

@@ -8,6 +8,7 @@ package threadsched_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"threadsched"
@@ -27,6 +28,15 @@ import (
 
 // quick is the shared benchmark geometry.
 func quick() harness.Config { return harness.Quick() }
+
+// simulate runs one job at c, as a served job runs, failing b on error.
+func simulate(b *testing.B, c harness.Config, spec harness.JobSpec) harness.SimResult {
+	r, err := c.RunJob(context.Background(), spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
 
 // BenchmarkTable1ThreadOverhead measures the native fork+run cost of null
 // threads — the reproduction of Table 1's microbenchmark (§4.1).
@@ -55,8 +65,8 @@ func BenchmarkTable2MatmulTime(b *testing.B) {
 	c := quick()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		un := c.RunMatmul(harness.MatmulInterchanged, c.R8000())
-		th := c.RunMatmul(harness.MatmulThreaded, c.R8000())
+		un := simulate(b, c, harness.JobSpec{Kind: harness.JobMatmul, Variant: "interchanged"})
+		th := simulate(b, c, harness.JobSpec{Kind: harness.JobMatmul, Variant: "threaded"})
 		b.ReportMetric(un.Seconds(), "untiled_sim_s")
 		b.ReportMetric(th.Seconds(), "threaded_sim_s")
 		b.ReportMetric(un.Seconds()/th.Seconds(), "speedup")
@@ -67,9 +77,9 @@ func BenchmarkTable2MatmulTime(b *testing.B) {
 func BenchmarkTable3MatmulMisses(b *testing.B) {
 	c := quick()
 	for i := 0; i < b.N; i++ {
-		un := c.RunMatmul(harness.MatmulInterchanged, c.R8000())
-		ti := c.RunMatmul(harness.MatmulTiledInterchanged, c.R8000())
-		th := c.RunMatmul(harness.MatmulThreaded, c.R8000())
+		un := simulate(b, c, harness.JobSpec{Kind: harness.JobMatmul, Variant: "interchanged"})
+		ti := simulate(b, c, harness.JobSpec{Kind: harness.JobMatmul, Variant: "tiled-interchanged"})
+		th := simulate(b, c, harness.JobSpec{Kind: harness.JobMatmul, Variant: "threaded"})
 		b.ReportMetric(float64(un.Summary.L2.Capacity), "untiled_L2cap")
 		b.ReportMetric(float64(ti.Summary.L2.Capacity), "tiled_L2cap")
 		b.ReportMetric(float64(th.Summary.L2.Capacity), "threaded_L2cap")
@@ -81,9 +91,9 @@ func BenchmarkTable4PDETime(b *testing.B) {
 	c := quick()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		reg := c.RunPDE(harness.PDERegular, c.R8000())
-		cc := c.RunPDE(harness.PDECacheConscious, c.R8000())
-		th := c.RunPDE(harness.PDEThreaded, c.R8000())
+		reg := simulate(b, c, harness.JobSpec{Kind: harness.JobPDE, Variant: "regular"})
+		cc := simulate(b, c, harness.JobSpec{Kind: harness.JobPDE, Variant: "cache-conscious"})
+		th := simulate(b, c, harness.JobSpec{Kind: harness.JobPDE, Variant: "threaded"})
 		b.ReportMetric(reg.Seconds(), "regular_sim_s")
 		b.ReportMetric(cc.Seconds(), "cc_sim_s")
 		b.ReportMetric(th.Seconds(), "threaded_sim_s")
@@ -94,8 +104,8 @@ func BenchmarkTable4PDETime(b *testing.B) {
 func BenchmarkTable5PDEMisses(b *testing.B) {
 	c := quick()
 	for i := 0; i < b.N; i++ {
-		reg := c.RunPDE(harness.PDERegular, c.R8000())
-		th := c.RunPDE(harness.PDEThreaded, c.R8000())
+		reg := simulate(b, c, harness.JobSpec{Kind: harness.JobPDE, Variant: "regular"})
+		th := simulate(b, c, harness.JobSpec{Kind: harness.JobPDE, Variant: "threaded"})
 		b.ReportMetric(float64(reg.Summary.L2.Capacity), "regular_L2cap")
 		b.ReportMetric(float64(th.Summary.L2.Capacity), "threaded_L2cap")
 	}
@@ -106,9 +116,9 @@ func BenchmarkTable6SORTime(b *testing.B) {
 	c := quick()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		un := c.RunSOR(harness.SORUntiled, c.R8000())
-		ti := c.RunSOR(harness.SORHandTiled, c.R8000())
-		th := c.RunSOR(harness.SORThreaded, c.R8000())
+		un := simulate(b, c, harness.JobSpec{Kind: harness.JobSOR, Variant: "untiled"})
+		ti := simulate(b, c, harness.JobSpec{Kind: harness.JobSOR, Variant: "hand-tiled"})
+		th := simulate(b, c, harness.JobSpec{Kind: harness.JobSOR, Variant: "threaded"})
 		b.ReportMetric(un.Seconds(), "untiled_sim_s")
 		b.ReportMetric(ti.Seconds(), "tiled_sim_s")
 		b.ReportMetric(th.Seconds(), "threaded_sim_s")
@@ -119,8 +129,8 @@ func BenchmarkTable6SORTime(b *testing.B) {
 func BenchmarkTable7SORMisses(b *testing.B) {
 	c := quick()
 	for i := 0; i < b.N; i++ {
-		un := c.RunSOR(harness.SORUntiled, c.R8000())
-		th := c.RunSOR(harness.SORThreaded, c.R8000())
+		un := simulate(b, c, harness.JobSpec{Kind: harness.JobSOR, Variant: "untiled"})
+		th := simulate(b, c, harness.JobSpec{Kind: harness.JobSOR, Variant: "threaded"})
 		b.ReportMetric(float64(un.Summary.L2.Capacity), "untiled_L2cap")
 		b.ReportMetric(float64(th.Summary.L2.Capacity), "threaded_L2cap")
 	}
@@ -131,8 +141,8 @@ func BenchmarkTable8NBodyTime(b *testing.B) {
 	c := quick()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		un := c.RunNBody(harness.NBodyUnthreaded, c.NBodyR8000(), c.NBodySteps)
-		th := c.RunNBody(harness.NBodyThreaded, c.NBodyR8000(), c.NBodySteps)
+		un := simulate(b, c, harness.JobSpec{Kind: harness.JobNBody, Variant: "unthreaded"})
+		th := simulate(b, c, harness.JobSpec{Kind: harness.JobNBody, Variant: "threaded"})
 		b.ReportMetric(un.Seconds(), "unthreaded_sim_s")
 		b.ReportMetric(th.Seconds(), "threaded_sim_s")
 	}
@@ -142,8 +152,8 @@ func BenchmarkTable8NBodyTime(b *testing.B) {
 func BenchmarkTable9NBodyMisses(b *testing.B) {
 	c := quick()
 	for i := 0; i < b.N; i++ {
-		un := c.RunNBody(harness.NBodyUnthreaded, c.NBodyR8000(), 1)
-		th := c.RunNBody(harness.NBodyThreaded, c.NBodyR8000(), 1)
+		un := simulate(b, c, harness.JobSpec{Kind: harness.JobNBody, Variant: "unthreaded", Steps: 1})
+		th := simulate(b, c, harness.JobSpec{Kind: harness.JobNBody, Variant: "threaded", Steps: 1})
 		b.ReportMetric(float64(un.Summary.L2.Capacity), "unthreaded_L2cap")
 		b.ReportMetric(float64(th.Summary.L2.Capacity), "threaded_L2cap")
 		b.ReportMetric(float64(th.Sched.Bins), "bins")
@@ -154,12 +164,11 @@ func BenchmarkTable9NBodyMisses(b *testing.B) {
 // two extremes plus the optimum).
 func BenchmarkFigure4BlockSweep(b *testing.B) {
 	c := quick()
-	m := c.R8000()
-	l2 := m.L2CacheSize()
+	l2 := c.R8000().L2CacheSize()
 	for i := 0; i < b.N; i++ {
-		small := c.RunMatmulThreadedBlock(m, l2/32)
-		best := c.RunMatmulThreadedBlock(m, l2/4)
-		big := c.RunMatmulThreadedBlock(m, 4*l2)
+		small := simulate(b, c, harness.JobSpec{Kind: harness.JobMatmul, Block: l2 / 32})
+		best := simulate(b, c, harness.JobSpec{Kind: harness.JobMatmul, Block: l2 / 4})
+		big := simulate(b, c, harness.JobSpec{Kind: harness.JobMatmul, Block: 4 * l2})
 		b.ReportMetric(small.Seconds(), "blockC32_sim_s")
 		b.ReportMetric(best.Seconds(), "blockC4_sim_s")
 		b.ReportMetric(big.Seconds(), "block4C_sim_s")
@@ -499,11 +508,10 @@ func encodeDecode(b *testing.B, refs []trace.Ref, sink trace.Recorder) int {
 func BenchmarkSimModes(b *testing.B) {
 	b.Run("pipeline", func(b *testing.B) {
 		c := quick()
-		m := c.R8000()
 		var refs uint64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r := c.RunMatmul(harness.MatmulInterchanged, m)
+			r := simulate(b, c, harness.JobSpec{Kind: harness.JobMatmul, Variant: "interchanged"})
 			refs += r.Summary.IFetches + r.Summary.DataRefs
 		}
 		b.ReportMetric(float64(refs)/b.Elapsed().Seconds(), "refs/s")

@@ -52,7 +52,6 @@ import (
 
 	"threadsched/internal/harness"
 	"threadsched/internal/obs"
-	"threadsched/internal/tables"
 )
 
 func main() {
@@ -65,7 +64,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("locality-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	exp := fs.String("exp", "all", "experiment to run: all, table1..table9, figure4, ablations (comma-separated)")
+	exp := fs.String("exp", "all", "experiments to run: all, or names from -list (comma-separated)")
 	size := fs.String("size", "scaled", "problem size: quick, scaled, or full (paper sizes; very slow)")
 	progress := fs.Bool("progress", false, "print per-run progress to stderr")
 	list := fs.Bool("list", false, "list experiments and exit")
@@ -138,34 +137,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	experiments := map[string]func() *tables.Table{
-		"table1":    func() *tables.Table { return cfg.Table1() },
-		"table2":    func() *tables.Table { return cfg.Table2(prog) },
-		"table3":    func() *tables.Table { return cfg.Table3(prog) },
-		"table4":    func() *tables.Table { return cfg.Table4(prog) },
-		"table5":    func() *tables.Table { return cfg.Table5(prog) },
-		"table6":    func() *tables.Table { return cfg.Table6(prog) },
-		"table7":    func() *tables.Table { return cfg.Table7(prog) },
-		"table8":    func() *tables.Table { return cfg.Table8(prog) },
-		"table9":    func() *tables.Table { return cfg.Table9(prog) },
-		"figure4":   func() *tables.Table { return cfg.Figure4(prog) },
-		"ablations": func() *tables.Table { return cfg.Ablations(prog) },
-		"modern":    func() *tables.Table { return cfg.Modern(prog) },
-	}
-	order := []string{"table1", "table2", "table3", "table4", "table5",
-		"table6", "table7", "table8", "table9", "figure4", "ablations", "modern"}
-
-	var selected []string
-	if *exp == "all" {
-		selected = order
-	} else {
+	selected := harness.Experiments
+	if *exp != "all" {
+		selected = nil
 		for _, name := range strings.Split(*exp, ",") {
-			name = strings.TrimSpace(strings.ToLower(name))
-			if _, ok := experiments[name]; !ok {
-				fmt.Fprintf(stderr, "unknown experiment %q; use -list\n", name)
+			e, err := harness.LookupExperiment(strings.TrimSpace(name))
+			if err != nil {
+				fmt.Fprintf(stderr, "unknown experiment %q; use -list\n", strings.TrimSpace(name))
 				return 2
 			}
-			selected = append(selected, name)
+			selected = append(selected, e)
 		}
 	}
 
@@ -173,13 +154,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "Thread Scheduling for Cache Locality (ASPLOS 1996) — reproduction harness\n")
 		fmt.Fprintf(stdout, "size=%s (cache scale ÷%d, N-body ÷%d)\n\n", *size, cfg.Scale, cfg.NBodyScale)
 	}
-	for _, name := range selected {
+	for _, e := range selected {
 		if ctx.Err() != nil {
 			fmt.Fprintf(stderr, "interrupted; skipping remaining experiments\n")
 			break
 		}
 		start := time.Now()
-		t := experiments[name]()
+		t := e.Render(cfg, prog)
 		wall := time.Since(start)
 		if ctx.Err() != nil {
 			t.AddNote("INTERRUPTED: partial results, rows may be missing")
@@ -239,21 +220,7 @@ func writeObsFiles(stderr io.Writer, o *obs.Obs, metricsPath, timelinePath strin
 }
 
 func listExperiments(w io.Writer) {
-	rows := []struct{ id, what string }{
-		{"table1", "thread fork/run overhead (µs), modelled + live host measurement"},
-		{"table2", "matrix multiply times: 5 variants × 2 machines"},
-		{"table3", "matrix multiply references & classified cache misses (R8000)"},
-		{"table4", "red-black PDE solver times: 3 variants × 2 machines"},
-		{"table5", "PDE references & classified cache misses (R8000)"},
-		{"table6", "SOR kernel times: 3 variants × 2 machines"},
-		{"table7", "SOR references & classified cache misses (R8000)"},
-		{"table8", "Barnes-Hut N-body times: 2 variants × 2 machines"},
-		{"table9", "N-body references & classified cache misses (R8000)"},
-		{"figure4", "execution time vs scheduler block size, all four workloads"},
-		{"ablations", "design-choice experiments: bin tours, hint folding, page placement"},
-		{"modern", "the 1996 technique on a modern 3-level prefetching core"},
-	}
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %-8s %s\n", r.id, r.what)
+	for _, e := range harness.Experiments {
+		fmt.Fprintf(w, "  %-8s %s\n", e.Name, e.What)
 	}
 }

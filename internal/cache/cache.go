@@ -210,19 +210,10 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
-// LineOf returns the line number containing byte address addr.
-func (c *Cache) LineOf(addr uint64) uint64 { return addr >> c.lineShift }
-
 // Access presents one line-granular access (the address may be any byte in
 // the line). It returns true on a hit. On a miss the line is allocated
 // (write-allocate), possibly evicting the LRU line of the set.
 func (c *Cache) Access(addr uint64, write bool) bool { return c.access(addr>>c.lineShift, write) }
-
-// AccessRead is Access for a read (or instruction fetch).
-func (c *Cache) AccessRead(addr uint64) bool { return c.access(addr>>c.lineShift, false) }
-
-// AccessWrite is Access for a write.
-func (c *Cache) AccessWrite(addr uint64) bool { return c.access(addr>>c.lineShift, true) }
 
 // set returns the ways of the set line ln maps to. Masking the shift
 // tells the compiler it is below 64, which drops the fix-up Go's shift

@@ -62,41 +62,34 @@ func requireSameResult(t *testing.T, label string, want, got SimResult) {
 	}
 }
 
-// eqApps is the four-workload set: each app's threaded variant, the
-// hardest case (scheduler plus kernel share the reference stream).
-func eqApps() []struct {
-	name string
-	run  func(Config) SimResult
-} {
-	return []struct {
-		name string
-		run  func(Config) SimResult
-	}{
-		{"matmul", func(c Config) SimResult { return c.RunMatmul(MatmulThreaded, c.R8000()) }},
-		{"sor", func(c Config) SimResult { return c.RunSOR(SORThreaded, c.R8000()) }},
-		{"pde", func(c Config) SimResult { return c.RunPDE(PDEThreaded, c.R8000()) }},
-		{"nbody", func(c Config) SimResult { return c.RunNBody(NBodyThreaded, c.NBodyR8000(), 1) }},
-	}
+// eqApps is the four-workload set, keyed by app: each app's threaded
+// variant, the hardest case (scheduler plus kernel share the reference
+// stream).
+var eqApps = []row{
+	{"matmul", JobSpec{Kind: JobMatmul}},
+	{"sor", JobSpec{Kind: JobSOR}},
+	{"pde", JobSpec{Kind: JobPDE}},
+	{"nbody", JobSpec{Kind: JobNBody, Steps: 1}},
 }
 
 // TestGoldenEquivalenceStats pins the exactness contract at the
 // simulation level: for each app, the default pipelined path must
 // reproduce the serial path's results bit for bit.
 func TestGoldenEquivalenceStats(t *testing.T) {
-	for _, app := range eqApps() {
+	for _, app := range eqApps {
 		app := app
-		t.Run(app.name, func(t *testing.T) {
+		t.Run(app.key, func(t *testing.T) {
 			t.Parallel()
 			base := eqConfig()
 			base.serial = true
-			want := app.run(base)
+			want := base.runSpec(app.spec)
 			if want.Summary.L2.Misses == 0 || want.Summary.L2.Compulsory == 0 {
 				t.Fatalf("degenerate golden baseline (no classified L2 misses): %+v", want.Summary.L2)
 			}
 			for _, mode := range eqModes[1:] {
 				c := eqConfig()
 				c.serial = mode.serial
-				requireSameResult(t, mode.name, want, app.run(c))
+				requireSameResult(t, mode.name, want, c.runSpec(app.spec))
 			}
 		})
 	}
@@ -106,21 +99,12 @@ func TestGoldenEquivalenceStats(t *testing.T) {
 // job set through runJobs at Parallel 1 and 4 must produce identical
 // result maps (each job owns its hierarchy; only the sink is shared).
 func TestGoldenEquivalenceParallelJobs(t *testing.T) {
-	jobs := func(c Config) []simJob {
-		var js []simJob
-		for _, app := range eqApps() {
-			app := app
-			js = append(js, simJob{app.name, "eq: " + app.name,
-				func(c Config) SimResult { return app.run(c) }})
-		}
-		return js
-	}
 	serial := eqConfig()
 	serial.serial = true
-	want := serial.runJobs(nil, jobs(serial))
+	want := serial.runJobs(nil, eqApps)
 	par := eqConfig()
 	par.Parallel = 4
-	got := par.runJobs(nil, jobs(par))
+	got := par.runJobs(nil, eqApps)
 	if len(got) != len(want) {
 		t.Fatalf("parallel pool returned %d results, want %d", len(got), len(want))
 	}

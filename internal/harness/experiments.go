@@ -10,6 +10,45 @@ import (
 	"threadsched/internal/tables"
 )
 
+// Experiment is one table or figure the harness renders.
+type Experiment struct {
+	// Name is what locality-bench's -exp and a served table job call it.
+	Name string
+	// What is the one-line description locality-bench -list prints.
+	What string
+	// Render runs the experiment's simulations at c and renders it.
+	Render func(c Config, prog Progress) *tables.Table
+}
+
+// Experiments lists every experiment, in the order locality-bench runs
+// them. It is the one place an experiment is named.
+var Experiments = []Experiment{
+	{"table1", "thread fork/run overhead (µs), modelled + live host measurement",
+		func(c Config, _ Progress) *tables.Table { return c.Table1() }},
+	{"table2", "matrix multiply times: 5 variants × 2 machines", Config.Table2},
+	{"table3", "matrix multiply references & classified cache misses (R8000)", Config.Table3},
+	{"table4", "red-black PDE solver times: 3 variants × 2 machines", Config.Table4},
+	{"table5", "PDE references & classified cache misses (R8000)", Config.Table5},
+	{"table6", "SOR kernel times: 3 variants × 2 machines", Config.Table6},
+	{"table7", "SOR references & classified cache misses (R8000)", Config.Table7},
+	{"table8", "Barnes-Hut N-body times: 2 variants × 2 machines", Config.Table8},
+	{"table9", "N-body references & classified cache misses (R8000)", Config.Table9},
+	{"figure4", "execution time vs scheduler block size, all four workloads", Config.Figure4},
+	{"ablations", "design-choice experiments: bin tours, hint folding, page placement", Config.Ablations},
+	{"modern", "the 1996 technique on a modern 3-level prefetching core", Config.Modern},
+}
+
+// LookupExperiment finds an experiment in Experiments by name, in any
+// case; an unknown name is an error wrapping ErrBadJobSpec.
+func LookupExperiment(name string) (Experiment, error) {
+	for _, e := range Experiments {
+		if strings.EqualFold(e.Name, name) {
+			return e, nil
+		}
+	}
+	return Experiment{}, fmt.Errorf("%w: unknown experiment %q", ErrBadJobSpec, name)
+}
+
 // Table1 reproduces Table 1 (thread overhead in microseconds): the paper's
 // measured numbers, this model's cost-table numbers, and a live
 // measurement of the Go scheduler's fork/run overhead on the host.
@@ -173,14 +212,14 @@ func missTable(id, title string, order []string, paper map[string]tables.MissRow
 	return t
 }
 
-// splitPair separates a runJobs result map keyed "r8/name" / "r10/name"
-// into the per-machine maps the table renderers consume.
+// splitPair separates a pairRows result map into the per-machine maps
+// the time-table renderer consumes.
 func splitPair(res map[string]SimResult) (r8, r10 map[string]SimResult) {
 	r8, r10 = map[string]SimResult{}, map[string]SimResult{}
 	for k, v := range res {
-		if name, ok := strings.CutPrefix(k, "r8/"); ok {
+		if name, ok := strings.CutPrefix(k, "r8000/"); ok {
 			r8[name] = v
-		} else if name, ok := strings.CutPrefix(k, "r10/"); ok {
+		} else if name, ok := strings.CutPrefix(k, "r10000/"); ok {
 			r10[name] = v
 		}
 	}
@@ -193,27 +232,55 @@ func schedNote(t *tables.Table, app string, rs core.RunStats) {
 		p.Threads, p.Bins, p.AvgPerBin, rs.Threads, rs.Bins, rs.AvgPerBin)
 }
 
+// variant pairs a table's row label with the JobSpec variant it runs.
+type variant struct{ label, name string }
+
+// pairRows declares a two-machine table's rows: each variant of kind on
+// the R8000 and then on machine other, keyed "<machine>/<label>".
+func pairRows(kind JobKind, other string, variants ...variant) []row {
+	var rows []row
+	for _, v := range variants {
+		for _, m := range []string{"r8000", other} {
+			rows = append(rows, row{m + "/" + v.label, JobSpec{Kind: kind, Variant: v.name, Machine: m}})
+		}
+	}
+	return rows
+}
+
+// r8000Rows declares a miss table's rows: each variant of kind on the
+// R8000, keyed by its label, for steps N-body steps (0 = the default).
+func r8000Rows(kind JobKind, steps int, variants ...variant) []row {
+	var rows []row
+	for _, v := range variants {
+		rows = append(rows, row{v.label, JobSpec{Kind: kind, Variant: v.name, Machine: "r8000", Steps: steps}})
+	}
+	return rows
+}
+
+// The rows of Tables 2–9. The miss tables re-run jobs of the time tables
+// under their own labels: Table 3's are Table 2's R8000 jobs, Table 5's
+// Table 4's, and Table 7's Table 6's.
+var (
+	table2Rows = pairRows(JobMatmul, "r10000", variant{"Interchanged", "interchanged"},
+		variant{"Transposed", "transposed"}, variant{"Tiled interchanged", "tiled-interchanged"},
+		variant{"Tiled transposed", "tiled-transposed"}, variant{"Threaded", "threaded"})
+	table3Rows = r8000Rows(JobMatmul, 0, variant{"Untiled", "interchanged"},
+		variant{"Tiled", "tiled-interchanged"}, variant{"Threaded", "threaded"})
+	table4Rows = pairRows(JobPDE, "r10000", variant{"Regular", "regular"},
+		variant{"Cache-conscious", "cache-conscious"}, variant{"Threaded", "threaded"})
+	table5Rows = r8000Rows(JobPDE, 0, variant{"Regular", "regular"},
+		variant{"Cache-conscious", "cache-conscious"}, variant{"Threaded", "threaded"})
+	table6Rows = pairRows(JobSOR, "r10000", variant{"Untiled", "untiled"},
+		variant{"Hand tiled", "hand-tiled"}, variant{"Threaded", "threaded"})
+	table7Rows = r8000Rows(JobSOR, 0, variant{"Untiled", "untiled"},
+		variant{"Hand-tiled", "hand-tiled"}, variant{"Threaded", "threaded"})
+	table8Rows = pairRows(JobNBody, "r10000", variant{"Unthreaded", "unthreaded"}, variant{"Threaded", "threaded"})
+	table9Rows = r8000Rows(JobNBody, 1, variant{"Unthreaded", "unthreaded"}, variant{"Threaded", "threaded"})
+)
+
 // Table2 reproduces Table 2: matrix multiply times.
 func (c Config) Table2(prog Progress) *tables.Table {
-	variants := []struct {
-		name string
-		v    MatmulVariant
-	}{
-		{"Interchanged", MatmulInterchanged},
-		{"Transposed", MatmulTransposed},
-		{"Tiled interchanged", MatmulTiledInterchanged},
-		{"Tiled transposed", MatmulTiledTransposed},
-		{"Threaded", MatmulThreaded},
-	}
-	var jobs []simJob
-	for _, v := range variants {
-		jobs = append(jobs,
-			simJob{"r8/" + v.name, "table2: " + v.name + " on R8000",
-				func(c Config) SimResult { return c.RunMatmul(v.v, c.R8000()) }},
-			simJob{"r10/" + v.name, "table2: " + v.name + " on R10000",
-				func(c Config) SimResult { return c.RunMatmul(v.v, c.R10000()) }})
-	}
-	r8m, r10m := splitPair(c.runJobs(prog, jobs))
+	r8m, r10m := splitPair(c.runJobs(prog, table2Rows))
 	t := timeTable("Table 2", fmt.Sprintf("Matrix multiply performance in seconds (n=%d)", c.MatmulN),
 		tables.Table2Order, tables.PaperTable2, r8m, r10m)
 	schedNote(t, "matmul", r8m["Threaded"].Sched)
@@ -222,72 +289,28 @@ func (c Config) Table2(prog Progress) *tables.Table {
 
 // Table3 reproduces Table 3: matmul references and cache misses, R8000.
 func (c Config) Table3(prog Progress) *tables.Table {
-	m := c.R8000()
-	meas := c.runJobs(prog, []simJob{
-		{"Untiled", "table3: untiled", func(c Config) SimResult { return c.RunMatmul(MatmulInterchanged, m) }},
-		{"Tiled", "table3: tiled", func(c Config) SimResult { return c.RunMatmul(MatmulTiledInterchanged, m) }},
-		{"Threaded", "table3: threaded", func(c Config) SimResult { return c.RunMatmul(MatmulThreaded, m) }},
-	})
 	return missTable("Table 3",
-		fmt.Sprintf("Matmul memory references and cache misses in thousands (n=%d, %s)", c.MatmulN, m.Name),
-		tables.Table3Order, tables.PaperTable3, meas, c.Scale)
+		fmt.Sprintf("Matmul memory references and cache misses in thousands (n=%d, %s)", c.MatmulN, c.R8000().Name),
+		tables.Table3Order, tables.PaperTable3, c.runJobs(prog, table3Rows), c.Scale)
 }
 
 // Table4 reproduces Table 4: PDE times.
 func (c Config) Table4(prog Progress) *tables.Table {
-	variants := []struct {
-		name string
-		v    PDEVariant
-	}{
-		{"Regular", PDERegular},
-		{"Cache-conscious", PDECacheConscious},
-		{"Threaded", PDEThreaded},
-	}
-	var jobs []simJob
-	for _, v := range variants {
-		jobs = append(jobs,
-			simJob{"r8/" + v.name, "table4: " + v.name + " on R8000",
-				func(c Config) SimResult { return c.RunPDE(v.v, c.R8000()) }},
-			simJob{"r10/" + v.name, "table4: " + v.name + " on R10000",
-				func(c Config) SimResult { return c.RunPDE(v.v, c.R10000()) }})
-	}
-	r8m, r10m := splitPair(c.runJobs(prog, jobs))
+	r8m, r10m := splitPair(c.runJobs(prog, table4Rows))
 	return timeTable("Table 4", fmt.Sprintf("PDE performance in seconds (n=%d, %d iterations)", c.PDEN, c.PDEIters),
 		tables.Table4Order, tables.PaperTable4, r8m, r10m)
 }
 
 // Table5 reproduces Table 5: PDE cache misses, R8000.
 func (c Config) Table5(prog Progress) *tables.Table {
-	m := c.R8000()
-	meas := c.runJobs(prog, []simJob{
-		{"Regular", "table5: regular", func(c Config) SimResult { return c.RunPDE(PDERegular, m) }},
-		{"Cache-conscious", "table5: cache-conscious", func(c Config) SimResult { return c.RunPDE(PDECacheConscious, m) }},
-		{"Threaded", "table5: threaded", func(c Config) SimResult { return c.RunPDE(PDEThreaded, m) }},
-	})
 	return missTable("Table 5",
-		fmt.Sprintf("PDE cache misses in thousands (n=%d, %s)", c.PDEN, m.Name),
-		tables.Table5Order, tables.PaperTable5, meas, c.Scale)
+		fmt.Sprintf("PDE cache misses in thousands (n=%d, %s)", c.PDEN, c.R8000().Name),
+		tables.Table5Order, tables.PaperTable5, c.runJobs(prog, table5Rows), c.Scale)
 }
 
 // Table6 reproduces Table 6: SOR times.
 func (c Config) Table6(prog Progress) *tables.Table {
-	variants := []struct {
-		name string
-		v    SORVariant
-	}{
-		{"Untiled", SORUntiled},
-		{"Hand tiled", SORHandTiled},
-		{"Threaded", SORThreaded},
-	}
-	var jobs []simJob
-	for _, v := range variants {
-		jobs = append(jobs,
-			simJob{"r8/" + v.name, "table6: " + v.name + " on R8000",
-				func(c Config) SimResult { return c.RunSOR(v.v, c.R8000()) }},
-			simJob{"r10/" + v.name, "table6: " + v.name + " on R10000",
-				func(c Config) SimResult { return c.RunSOR(v.v, c.R10000()) }})
-	}
-	r8m, r10m := splitPair(c.runJobs(prog, jobs))
+	r8m, r10m := splitPair(c.runJobs(prog, table6Rows))
 	t := timeTable("Table 6", fmt.Sprintf("SOR performance in seconds (n=%d, t=%d)", c.SORN, c.SORIters),
 		tables.Table6Order, tables.PaperTable6, r8m, r10m)
 	schedNote(t, "sor", r8m["Threaded"].Sched)
@@ -296,29 +319,14 @@ func (c Config) Table6(prog Progress) *tables.Table {
 
 // Table7 reproduces Table 7: SOR references and cache misses, R8000.
 func (c Config) Table7(prog Progress) *tables.Table {
-	m := c.R8000()
-	meas := c.runJobs(prog, []simJob{
-		{"Untiled", "table7: untiled", func(c Config) SimResult { return c.RunSOR(SORUntiled, m) }},
-		{"Hand-tiled", "table7: hand-tiled", func(c Config) SimResult { return c.RunSOR(SORHandTiled, m) }},
-		{"Threaded", "table7: threaded", func(c Config) SimResult { return c.RunSOR(SORThreaded, m) }},
-	})
 	return missTable("Table 7",
-		fmt.Sprintf("SOR memory references and cache misses in thousands (n=%d, %s)", c.SORN, m.Name),
-		tables.Table7Order, tables.PaperTable7, meas, c.Scale)
+		fmt.Sprintf("SOR memory references and cache misses in thousands (n=%d, %s)", c.SORN, c.R8000().Name),
+		tables.Table7Order, tables.PaperTable7, c.runJobs(prog, table7Rows), c.Scale)
 }
 
 // Table8 reproduces Table 8: N-body times.
 func (c Config) Table8(prog Progress) *tables.Table {
-	r8m, r10m := splitPair(c.runJobs(prog, []simJob{
-		{"r8/Unthreaded", "table8: unthreaded on R8000",
-			func(c Config) SimResult { return c.RunNBody(NBodyUnthreaded, c.NBodyR8000(), c.NBodySteps) }},
-		{"r10/Unthreaded", "table8: unthreaded on R10000",
-			func(c Config) SimResult { return c.RunNBody(NBodyUnthreaded, c.NBodyR10000(), c.NBodySteps) }},
-		{"r8/Threaded", "table8: threaded on R8000",
-			func(c Config) SimResult { return c.RunNBody(NBodyThreaded, c.NBodyR8000(), c.NBodySteps) }},
-		{"r10/Threaded", "table8: threaded on R10000",
-			func(c Config) SimResult { return c.RunNBody(NBodyThreaded, c.NBodyR10000(), c.NBodySteps) }},
-	}))
+	r8m, r10m := splitPair(c.runJobs(prog, table8Rows))
 	t := timeTable("Table 8",
 		fmt.Sprintf("N-body performance in seconds (%d bodies, %d steps)", c.NBodyN, c.NBodySteps),
 		tables.Table8Order, tables.PaperTable8, r8m, r10m)
@@ -328,14 +336,9 @@ func (c Config) Table8(prog Progress) *tables.Table {
 
 // Table9 reproduces Table 9: N-body cache misses, one iteration, R8000.
 func (c Config) Table9(prog Progress) *tables.Table {
-	m := c.NBodyR8000()
-	meas := c.runJobs(prog, []simJob{
-		{"Unthreaded", "table9: unthreaded", func(c Config) SimResult { return c.RunNBody(NBodyUnthreaded, m, 1) }},
-		{"Threaded", "table9: threaded", func(c Config) SimResult { return c.RunNBody(NBodyThreaded, m, 1) }},
-	})
 	return missTable("Table 9",
-		fmt.Sprintf("N-body memory references and cache misses in thousands (%d bodies, 1 step, %s)", c.NBodyN, m.Name),
-		tables.Table9Order, tables.PaperTable9, meas, c.NBodyScale)
+		fmt.Sprintf("N-body memory references and cache misses in thousands (%d bodies, 1 step, %s)", c.NBodyN, c.NBodyR8000().Name),
+		tables.Table9Order, tables.PaperTable9, c.runJobs(prog, table9Rows), c.NBodyScale)
 }
 
 // Figure4RelativeBlocks is the block-size sweep of Figure 4, expressed
@@ -355,28 +358,13 @@ var Figure4RelativeBlocks = []struct {
 // R8000. Times are the cost-model estimate in seconds.
 func (c Config) Figure4(prog Progress) *tables.Table {
 	m := c.R8000()
-	nm := c.NBodyR8000()
 	t := &tables.Table{
 		ID: "Figure 4",
 		Title: fmt.Sprintf("Execution time (s) versus block dimension size (%s, C=%d KB)",
 			m.Name, m.L2CacheSize()>>10),
 		Columns: []string{"block", "matrix multiply", "SOR", "PDE", "N-body"},
 	}
-	var jobs []simJob
-	for _, b := range Figure4RelativeBlocks {
-		block := m.L2CacheSize() * b.Num / b.Den
-		nblock := nm.L2CacheSize() * b.Num / b.Den
-		jobs = append(jobs,
-			simJob{b.Label + "/matmul", "figure4: block " + b.Label + " matmul",
-				func(c Config) SimResult { return c.RunMatmulThreadedBlock(m, block) }},
-			simJob{b.Label + "/sor", "figure4: block " + b.Label + " SOR",
-				func(c Config) SimResult { return c.RunSORThreadedBlock(m, block) }},
-			simJob{b.Label + "/pde", "figure4: block " + b.Label + " PDE",
-				func(c Config) SimResult { return c.RunPDEThreadedBlock(m, block) }},
-			simJob{b.Label + "/nbody", "figure4: block " + b.Label + " N-body",
-				func(c Config) SimResult { return c.RunNBodyThreadedBlock(nm, nblock) }})
-	}
-	meas := c.runJobs(prog, jobs)
+	meas := c.runJobs(prog, c.figure4Rows())
 	for _, b := range Figure4RelativeBlocks {
 		t.AddRow(b.Label,
 			tables.Seconds(meas[b.Label+"/matmul"].Seconds()),
@@ -386,4 +374,23 @@ func (c Config) Figure4(prog Progress) *tables.Table {
 	}
 	t.AddNote("paper shape: %s", tables.Figure4Shape)
 	return t
+}
+
+// figure4Rows declares Figure 4's rows: the four threaded kernels on the
+// R8000 at every block size of the sweep, N-body for one step. The
+// block is relative to each kernel's own (scaled) L2, so the C/2 row of
+// matmul, SOR and PDE is the paper-default threaded job of Tables 2, 6
+// and 4.
+func (c Config) figure4Rows() []row {
+	var rows []row
+	for _, b := range Figure4RelativeBlocks {
+		block := c.R8000().L2CacheSize() * b.Num / b.Den
+		nblock := c.NBodyR8000().L2CacheSize() * b.Num / b.Den
+		rows = append(rows,
+			row{b.Label + "/matmul", JobSpec{Kind: JobMatmul, Block: block}},
+			row{b.Label + "/sor", JobSpec{Kind: JobSOR, Block: block}},
+			row{b.Label + "/pde", JobSpec{Kind: JobPDE, Block: block}},
+			row{b.Label + "/nbody", JobSpec{Kind: JobNBody, Block: nblock, Steps: 1}})
+	}
+	return rows
 }

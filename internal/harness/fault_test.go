@@ -9,17 +9,29 @@ import (
 	"threadsched/internal/sim"
 )
 
-func okJob(key string) simJob {
-	return simJob{key: key, what: key, run: func(Config) SimResult { return SimResult{} }}
+// tinyConfig is a geometry whose matmul emits no reference at all, for
+// tests of the job pool rather than of the kernels: a job at it is its
+// hook, and a cancellation cannot interrupt it.
+func tinyConfig() Config {
+	c := Quick()
+	c.MatmulN = 0
+	return c
 }
 
-func panicJob(key string, v any) simJob {
-	return simJob{key: key, what: key, run: func(Config) SimResult { panic(v) }}
+// hookJob is a row keyed key whose simulation, an empty untiled matmul
+// at tinyConfig, runs after hook: the JobSpec.Hook seam is how these
+// tests make a job block, cancel or panic.
+func hookJob(key string, hook func()) row {
+	return row{key, JobSpec{Kind: JobMatmul, Variant: "interchanged", Hook: hook}}
 }
+
+func okJob(key string) row { return hookJob(key, nil) }
+
+func panicJob(key string, v any) row { return hookJob(key, func() { panic(v) }) }
 
 // recoverJobs runs runJobs and returns the recovered *JobPanicError, if
 // any, alongside the results it produced before panicking.
-func recoverJobs(c Config, jobs []simJob) (perr *JobPanicError, out map[string]SimResult) {
+func recoverJobs(c Config, jobs []row) (perr *JobPanicError, out map[string]SimResult) {
 	defer func() {
 		if v := recover(); v != nil {
 			perr = v.(*JobPanicError)
@@ -32,7 +44,7 @@ func recoverJobs(c Config, jobs []simJob) (perr *JobPanicError, out map[string]S
 // TestRunJobsSerialPanicTyped: a serial job panic surfaces as a
 // *JobPanicError naming the job, after the jobs before it completed.
 func TestRunJobsSerialPanicTyped(t *testing.T) {
-	perr, _ := recoverJobs(Config{}, []simJob{
+	perr, _ := recoverJobs(tinyConfig(), []row{
 		okJob("a"),
 		panicJob("bad", "kernel blew up"),
 		okJob("never"),
@@ -56,7 +68,7 @@ func TestRunJobsSerialPanicTyped(t *testing.T) {
 // in-flight jobs, skips queued ones, and re-panics typed on the caller.
 func TestRunJobsParallelPanicQuiesces(t *testing.T) {
 	before := countGoroutines()
-	jobs := make([]simJob, 0, 16)
+	jobs := make([]row, 0, 16)
 	for i := 0; i < 8; i++ {
 		jobs = append(jobs, okJob(string(rune('a'+i))))
 	}
@@ -64,7 +76,9 @@ func TestRunJobsParallelPanicQuiesces(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		jobs = append(jobs, okJob(string(rune('p'+i))))
 	}
-	perr, _ := recoverJobs(Config{Parallel: 4}, jobs)
+	c := tinyConfig()
+	c.Parallel = 4
+	perr, _ := recoverJobs(c, jobs)
 	if perr == nil {
 		t.Fatal("no JobPanicError recovered")
 	}
@@ -84,11 +98,13 @@ func TestRunJobsParallelPanicQuiesces(t *testing.T) {
 func TestRunJobsContextStopsNewJobs(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := 0
-	jobs := []simJob{
-		{key: "first", what: "first", run: func(Config) SimResult { ran++; cancel(); return SimResult{} }},
-		{key: "second", what: "second", run: func(Config) SimResult { ran++; return SimResult{} }},
+	jobs := []row{
+		hookJob("first", func() { ran++; cancel() }),
+		hookJob("second", func() { ran++ }),
 	}
-	out := Config{Context: ctx}.runJobs(nil, jobs)
+	c := tinyConfig()
+	c.Context = ctx
+	out := c.runJobs(nil, jobs)
 	if ran != 1 {
 		t.Fatalf("%d jobs ran after cancellation, want 1", ran)
 	}
@@ -97,7 +113,8 @@ func TestRunJobsContextStopsNewJobs(t *testing.T) {
 	}
 	// Already-cancelled context: nothing runs at any parallelism.
 	for _, par := range []int{0, 4} {
-		out := Config{Context: ctx, Parallel: par}.runJobs(nil, []simJob{okJob("x")})
+		c.Parallel = par
+		out := c.runJobs(nil, []row{okJob("x")})
 		if len(out) != 0 {
 			t.Fatalf("Parallel=%d: %d jobs ran under a done context", par, len(out))
 		}
@@ -114,15 +131,17 @@ func TestRunJobsContextStopsNewJobs(t *testing.T) {
 func TestRunJobsCancelledMidRun(t *testing.T) {
 	for _, par := range []int{0, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
-		jobs := []simJob{
-			{key: "ok", what: "ok", run: func(Config) SimResult { return SimResult{} }},
-			{key: "cut", what: "cut", run: func(Config) SimResult {
+		jobs := []row{
+			okJob("ok"),
+			hookJob("cut", func() {
 				cancel()
 				panic(&sim.CancelledError{Err: ctx.Err()})
-			}},
+			}),
 			okJob("after"),
 		}
-		perr, out := recoverJobs(Config{Context: ctx, Parallel: par}, jobs)
+		c := tinyConfig()
+		c.Context, c.Parallel = ctx, par
+		perr, out := recoverJobs(c, jobs)
 		if perr != nil {
 			t.Fatalf("Parallel=%d: cancellation re-panicked: %v", par, perr)
 		}

@@ -30,12 +30,11 @@ func TestGuardPipelineThroughput(t *testing.T) {
 		floor = 1.10
 	}
 	c := Quick()
-	m := c.R8000()
 	workloads := []func(Config) SimResult{
-		func(c Config) SimResult { return c.RunMatmul(MatmulInterchanged, m) },
-		func(c Config) SimResult { return c.RunMatmul(MatmulTiledInterchanged, m) },
-		func(c Config) SimResult { return c.RunSOR(SORUntiled, m) },
-		func(c Config) SimResult { return c.RunPDE(PDERegular, m) },
+		func(c Config) SimResult { return c.runSpec(JobSpec{Kind: JobMatmul, Variant: "interchanged"}) },
+		func(c Config) SimResult { return c.runSpec(JobSpec{Kind: JobMatmul, Variant: "tiled-interchanged"}) },
+		func(c Config) SimResult { return c.runSpec(JobSpec{Kind: JobSOR, Variant: "untiled"}) },
+		func(c Config) SimResult { return c.runSpec(JobSpec{Kind: JobPDE, Variant: "regular"}) },
 	}
 	// refsPerSec runs the four workloads back to back, best of 3, and
 	// returns references generated and simulated per second of wall time.

@@ -62,7 +62,7 @@ type Config struct {
 
 	// arena, set only on the Config runJobs hands its jobs, recycles the
 	// workload arrays and chunk buffers of one table's simulations. Nil
-	// everywhere else: RunJob and direct Run* calls allocate afresh.
+	// everywhere else: RunJob and RunNBodyThreadedTour allocate afresh.
 	arena *jobArena
 
 	// Obs, when non-nil, attaches the observability layer to every
@@ -165,20 +165,18 @@ type SimResult struct {
 // Seconds returns the modelled time in seconds.
 func (r SimResult) Seconds() float64 { return r.Time.Seconds() }
 
-// runner is a traced workload variant: given a CPU and address space,
-// execute and return the scheduler if one was used (else nil).
-type runner func(cpu *sim.CPU, as *vm.AddressSpace) *core.Scheduler
-
-// simulate runs one traced variant against one machine model. The model
-// CPU buffers references and hands each full buffer to a trace.Pipeline:
-// the workload emits on the job's goroutine while the cache hierarchy
-// consumes chunks on the pipeline's, behind a bounded SPSC ring (on a
-// GOMAXPROCS=1 runtime the pipeline drains inline). With Config.Obs
-// attached, the run acquires a metrics track of its own and reports its
-// wall time (sim.wall_ns), reference throughput (sim.refs_per_sec),
-// reference count (sim.refs, via the CPU) and, on the pipelined path, its
-// ring metrics on it. None of it alters the reference stream.
-func (c Config) simulate(m machine.Machine, fn runner) SimResult {
+// simulate runs one traced workload against one machine model: fn
+// executes it on the CPU and address space it is handed and returns the
+// scheduler it ran threads on, if any. The model CPU buffers references
+// and hands each full buffer to a trace.Pipeline: the workload emits on
+// the job's goroutine while the cache hierarchy consumes chunks on the
+// pipeline's, behind a bounded SPSC ring (on a GOMAXPROCS=1 runtime the
+// pipeline drains inline). With Config.Obs attached, the run acquires a
+// metrics track of its own and reports its wall time (sim.wall_ns),
+// reference throughput (sim.refs_per_sec), reference count (sim.refs,
+// via the CPU) and, on the pipelined path, its ring metrics on it. None
+// of it alters the reference stream.
+func (c Config) simulate(m machine.Machine, fn func(*sim.CPU, *vm.AddressSpace) *core.Scheduler) SimResult {
 	h := cache.MustNewHierarchy(m.Caches, nil)
 	var rec trace.Recorder = h
 	var pipe *trace.Pipeline
@@ -266,13 +264,11 @@ func (c Config) simulate(m machine.Machine, fn runner) SimResult {
 	return res
 }
 
-// simJob is one independent simulation inside a table: a result key, a
-// progress label, and the run itself, which simulates through the Config
-// it is handed (runJobs passes one carrying the table's arena).
-type simJob struct {
+// row is one simulation a table declares: the key the table reads its
+// result under, and the spec that names the simulation.
+type row struct {
 	key  string
-	what string
-	run  func(c Config) SimResult
+	spec JobSpec
 }
 
 // jobArena recycles the workload arrays and reference-chunk buffers of one
@@ -316,18 +312,28 @@ func (e *JobPanicError) Error() string {
 }
 
 // runJobs executes a table's simulations on min(Config.Parallel,
-// len(jobs)) workers (at least one, the calling goroutine), which take
-// the jobs in the order they are declared, and returns results keyed for
-// rendering. The jobs share nothing but a buffer arena scoped to this
-// call (each builds its own hierarchy, CPU, and address space, and every
-// array it leases comes back zeroed), so the result map — and every
-// table rendered from it — is identical at any parallelism. A job panic
-// quiesces the table (running jobs finish, queued ones are skipped) and
-// then re-panics on the calling goroutine with a *JobPanicError; a done
-// Config.Context stops new jobs from starting AND interrupts running
-// ones mid-simulation (the CPU's cancellation panic classifies as a
-// cancel, not a failure), returning the results gathered so far.
-func (c Config) runJobs(prog Progress, jobs []simJob) map[string]SimResult {
+// len(rows)) workers (at least one, the calling goroutine), which take
+// the rows in the order they are declared, and returns results keyed for
+// rendering. Every row is resolved before the first job starts; a row
+// that names no simulation is a broken table and panics at once. The
+// jobs share nothing but a buffer arena scoped to this call (each builds
+// its own hierarchy, CPU, and address space, and every array it leases
+// comes back zeroed), so the result map — and every table rendered from
+// it — is identical at any parallelism. A job panic quiesces the table
+// (running jobs finish, queued ones are skipped) and then re-panics on
+// the calling goroutine with a *JobPanicError; a done Config.Context
+// stops new jobs from starting AND interrupts running ones
+// mid-simulation (the CPU's cancellation panic classifies as a cancel,
+// not a failure), returning the results gathered so far.
+func (c Config) runJobs(prog Progress, rows []row) map[string]SimResult {
+	jobs := make([]job, len(rows))
+	for i, r := range rows {
+		j, err := c.resolve(r.spec)
+		if err != nil {
+			panic(fmt.Sprintf("harness: row %q: %v", r.key, err))
+		}
+		jobs[i] = j
+	}
 	ctx := c.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -335,7 +341,7 @@ func (c Config) runJobs(prog Progress, jobs []simJob) map[string]SimResult {
 	c.arena = new(jobArena)
 	var (
 		mu    sync.Mutex
-		out   = make(map[string]SimResult, len(jobs))
+		out   = make(map[string]SimResult, len(rows))
 		next  int
 		stop  bool
 		first *JobPanicError
@@ -343,19 +349,21 @@ func (c Config) runJobs(prog Progress, jobs []simJob) map[string]SimResult {
 	work := func() {
 		for {
 			mu.Lock()
-			if stop || next == len(jobs) || ctx.Err() != nil {
+			if stop || next == len(rows) || ctx.Err() != nil {
 				mu.Unlock()
 				return
 			}
-			j := jobs[next]
+			i := next
 			next++
 			mu.Unlock()
-			prog.printf("%s", j.what)
-			r, perr := c.runJobContained(j)
+			r := rows[i]
+			what := r.key + ": " + r.spec.What()
+			prog.printf("%s", what)
+			res, perr := contained(r.key, what, func() SimResult { return c.runJob(r.spec.Hook, what, jobs[i]) })
 			mu.Lock()
 			switch {
 			case perr == nil:
-				out[j.key] = r
+				out[r.key] = res
 			case cancelCause(perr.Value) != nil:
 				// A cancellation unwinding as a panic is the context door
 				// closing, not a job failure: drop the partial job and
@@ -371,7 +379,7 @@ func (c Config) runJobs(prog Progress, jobs []simJob) map[string]SimResult {
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < min(c.Parallel, len(jobs)); w++ {
+	for w := 1; w < min(c.Parallel, len(rows)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -386,31 +394,34 @@ func (c Config) runJobs(prog Progress, jobs []simJob) map[string]SimResult {
 	return out
 }
 
-// runJobContained runs one job with its panic recovered into a typed
-// error, so a blown-up simulation cannot take down sibling goroutines
-// mid-table.
-func (c Config) runJobContained(j simJob) (r SimResult, perr *JobPanicError) {
+// contained runs fn with its panic recovered into a *JobPanicError
+// naming the job, so a blown-up simulation cannot take down sibling
+// goroutines mid-table, nor a server's worker.
+func contained[T any](key, what string, fn func() T) (v T, perr *JobPanicError) {
 	defer func() {
-		if v := recover(); v != nil {
-			perr = &JobPanicError{Key: j.key, What: j.what, Value: v, Stack: debug.Stack()}
+		if r := recover(); r != nil {
+			perr = &JobPanicError{Key: key, What: what, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return c.runJob(j), nil
+	return fn(), nil
 }
 
-// runJob runs one simulation, wrapped — when Config.Obs is attached — in
-// a timeline span named after the job and pprof labels, so a profile or
-// Perfetto view of a parallel table shows which experiment each lane was
-// busy with.
-func (c Config) runJob(j simJob) SimResult {
+// runJob runs a spec's hook, if any, and then simulates j, wrapped — when
+// Config.Obs is attached — in a timeline span named what and pprof
+// labels, so a profile or Perfetto view of a parallel table shows which
+// experiment each lane was busy with.
+func (c Config) runJob(hook func(), what string, j job) SimResult {
+	if hook != nil {
+		hook()
+	}
 	if !c.Obs.Enabled() {
-		return j.run(c)
+		return c.run(j)
 	}
 	tk := c.Obs.AcquireTrack()
 	var r SimResult
 	c.Obs.Labeled(tk, "job", func() {
-		sp := c.Obs.Timeline().Begin(tk, j.what)
-		r = j.run(c)
+		sp := c.Obs.Timeline().Begin(tk, what)
+		r = c.run(j)
 		sp.End()
 	})
 	return r

@@ -5,12 +5,21 @@ import (
 	"strings"
 	"testing"
 
-	"threadsched/internal/machine"
 	"threadsched/internal/tables"
 )
 
 // Shape assertions run at the Quick geometry: fast enough for CI, large
 // enough that every paper-shape relation must hold.
+
+// runSpec simulates spec at c the way a table row runs it — resolved,
+// then run — without containment.
+func (c Config) runSpec(spec JobSpec) SimResult {
+	j, err := c.resolve(spec)
+	if err != nil {
+		panic(err)
+	}
+	return c.run(j)
+}
 
 func TestConfigsAreConsistent(t *testing.T) {
 	for _, c := range []Config{Quick(), Scaled(), Full()} {
@@ -65,9 +74,9 @@ func TestTable2Shape(t *testing.T) {
 	if len(tb.Rows) != 5 {
 		t.Fatalf("Table 2 has %d rows, want 5", len(tb.Rows))
 	}
-	un := c.RunMatmul(MatmulInterchanged, c.R8000())
-	ti := c.RunMatmul(MatmulTiledInterchanged, c.R8000())
-	th := c.RunMatmul(MatmulThreaded, c.R8000())
+	un := c.runSpec(JobSpec{Kind: JobMatmul, Variant: "interchanged"})
+	ti := c.runSpec(JobSpec{Kind: JobMatmul, Variant: "tiled-interchanged"})
+	th := c.runSpec(JobSpec{Kind: JobMatmul, Variant: "threaded"})
 	// Paper shape: tiled < threaded < untiled on the R8000.
 	if !(ti.Time < th.Time && th.Time < un.Time) {
 		t.Errorf("R8000 ordering wrong: tiled %v, threaded %v, untiled %v",
@@ -88,9 +97,8 @@ func TestTable3CapacityShrink(t *testing.T) {
 		t.Skip("cache simulation")
 	}
 	c := Quick()
-	m := c.R8000()
-	un := c.RunMatmul(MatmulInterchanged, m)
-	th := c.RunMatmul(MatmulThreaded, m)
+	un := c.runSpec(JobSpec{Kind: JobMatmul, Variant: "interchanged"})
+	th := c.runSpec(JobSpec{Kind: JobMatmul, Variant: "threaded"})
 	if un.Summary.L2.Capacity == 0 {
 		t.Fatal("untiled shows no capacity misses")
 	}
@@ -112,10 +120,9 @@ func TestTable4And5Shape(t *testing.T) {
 		t.Skip("cache simulation")
 	}
 	c := Quick()
-	m := c.R8000()
-	reg := c.RunPDE(PDERegular, m)
-	cc := c.RunPDE(PDECacheConscious, m)
-	th := c.RunPDE(PDEThreaded, m)
+	reg := c.runSpec(JobSpec{Kind: JobPDE, Variant: "regular"})
+	cc := c.runSpec(JobSpec{Kind: JobPDE, Variant: "cache-conscious"})
+	th := c.runSpec(JobSpec{Kind: JobPDE, Variant: "threaded"})
 	// Table 4 R8000 ordering: cache-conscious < threaded < regular.
 	if !(cc.Time <= th.Time && th.Time < reg.Time) {
 		t.Errorf("PDE ordering wrong: cc %v, threaded %v, regular %v",
@@ -137,10 +144,9 @@ func TestTable6And7Shape(t *testing.T) {
 		t.Skip("cache simulation")
 	}
 	c := Quick()
-	m := c.R8000()
-	un := c.RunSOR(SORUntiled, m)
-	ti := c.RunSOR(SORHandTiled, m)
-	th := c.RunSOR(SORThreaded, m)
+	un := c.runSpec(JobSpec{Kind: JobSOR, Variant: "untiled"})
+	ti := c.runSpec(JobSpec{Kind: JobSOR, Variant: "hand-tiled"})
+	th := c.runSpec(JobSpec{Kind: JobSOR, Variant: "threaded"})
 	if !(th.Time < un.Time && ti.Time < un.Time) {
 		t.Errorf("SOR ordering wrong: untiled %v, tiled %v, threaded %v",
 			un.Time, ti.Time, th.Time)
@@ -164,9 +170,8 @@ func TestTable8And9Shape(t *testing.T) {
 		t.Skip("cache simulation")
 	}
 	c := Quick()
-	m := c.NBodyR8000()
-	un := c.RunNBody(NBodyUnthreaded, m, 1)
-	th := c.RunNBody(NBodyThreaded, m, 1)
+	un := c.runSpec(JobSpec{Kind: JobNBody, Variant: "unthreaded", Steps: 1})
+	th := c.runSpec(JobSpec{Kind: JobNBody, Variant: "threaded", Steps: 1})
 	if th.Time >= un.Time {
 		t.Errorf("threaded N-body %v not faster than unthreaded %v", th.Time, un.Time)
 	}
@@ -181,17 +186,16 @@ func TestFigure4Shape(t *testing.T) {
 		t.Skip("cache simulation")
 	}
 	c := Quick()
-	m := c.R8000()
-	l2 := m.L2CacheSize()
+	l2 := c.R8000().L2CacheSize()
 	// Matmul: a block of C/4 must beat a block of 4C (degradation past the
 	// cache size, the figure's headline), and SOR likewise.
-	good := c.RunMatmulThreadedBlock(m, l2/4)
-	bad := c.RunMatmulThreadedBlock(m, 4*l2)
+	good := c.runSpec(JobSpec{Kind: JobMatmul, Block: l2 / 4})
+	bad := c.runSpec(JobSpec{Kind: JobMatmul, Block: 4 * l2})
 	if good.Time >= bad.Time {
 		t.Errorf("matmul: block C/4 (%v) not faster than 4C (%v)", good.Time, bad.Time)
 	}
-	sGood := c.RunSORThreadedBlock(m, l2/4)
-	sBad := c.RunSORThreadedBlock(m, 4*l2)
+	sGood := c.runSpec(JobSpec{Kind: JobSOR, Block: l2 / 4})
+	sBad := c.runSpec(JobSpec{Kind: JobSOR, Block: 4 * l2})
 	if sGood.Time >= sBad.Time {
 		t.Errorf("SOR: block C/4 (%v) not faster than 4C (%v)", sGood.Time, sBad.Time)
 	}
@@ -262,11 +266,10 @@ func TestModernCollapsesTheGap(t *testing.T) {
 		t.Skip("cache simulation")
 	}
 	c := Quick()
-	modern := machine.Modern()
-	un := c.RunMatmul(MatmulInterchanged, modern)
-	th := c.RunMatmul(MatmulThreaded, modern)
-	r8un := c.RunMatmul(MatmulInterchanged, c.R8000())
-	r8th := c.RunMatmul(MatmulThreaded, c.R8000())
+	un := c.runSpec(JobSpec{Kind: JobMatmul, Variant: "interchanged", Machine: "modern"})
+	th := c.runSpec(JobSpec{Kind: JobMatmul, Variant: "threaded", Machine: "modern"})
+	r8un := c.runSpec(JobSpec{Kind: JobMatmul, Variant: "interchanged"})
+	r8th := c.runSpec(JobSpec{Kind: JobMatmul, Variant: "threaded"})
 	modernGap := un.Seconds() / th.Seconds()
 	r8Gap := r8un.Seconds() / r8th.Seconds()
 	// The 1996 machine must show a substantial gap; the modern one must

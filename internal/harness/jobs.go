@@ -4,22 +4,25 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"threadsched/internal/core"
 	"threadsched/internal/machine"
 	"threadsched/internal/sim"
-	"threadsched/internal/tables"
 	"threadsched/internal/trace"
 )
 
 // The serving surface: a JobSpec names one simulation (or one whole
-// experiment) in plain strings, so a JSON request can be mapped onto the
-// harness without the server knowing about variant enums, and
-// Config.RunJob runs it with per-job containment — a panic inside the
-// workload, the scheduler, or the pipeline comes back as an error, and a
-// cancelled context comes back as that context's error, never as a
-// panic. This is what cmd/tracesimd multiplexes tenants onto.
+// experiment) in plain strings, so a JSON request maps onto the harness
+// without the server knowing how a kernel runs. It is also the one job
+// description inside the harness: every table declares its simulations
+// as specs (see row), and resolve turns a spec into the comparable job
+// value that Config.run simulates. Config.RunJob runs one spec with
+// per-job containment — a panic inside the workload, the scheduler, or
+// the pipeline comes back as an error, and a cancelled context comes back
+// as that context's error, never as a panic. This is what cmd/tracesimd
+// multiplexes tenants onto.
 
 // ErrBadJobSpec is wrapped by every spec-validation failure RunJob
 // reports, so servers can map it to a 400 rather than a 500.
@@ -34,8 +37,8 @@ const (
 	JobPDE    JobKind = "pde"
 	JobSOR    JobKind = "sor"
 	JobNBody  JobKind = "nbody"
-	// JobTable runs a whole experiment (Variant "table1".."table9" or
-	// "figure4") and returns its rendered table via RunExperiment.
+	// JobTable runs a whole experiment (Variant is a name in
+	// Experiments) and returns its rendered table via RunExperiment.
 	JobTable JobKind = "table"
 )
 
@@ -45,20 +48,27 @@ const (
 type JobSpec struct {
 	// Kind is the workload family (JobMatmul, JobPDE, JobSOR, JobNBody).
 	Kind JobKind
-	// Variant is the kind-specific variant name, e.g. "interchanged",
-	// "tiled-transposed" or "threaded" for matmul; "" selects "threaded".
+	// Variant is the kind-specific variant name, in any case:
+	// "interchanged", "transposed", "tiled-interchanged",
+	// "tiled-transposed" or "threaded" for matmul; "regular",
+	// "cache-conscious" or "threaded" for PDE; "untiled", "hand-tiled"
+	// or "threaded" for SOR; "unthreaded" or "threaded" for N-body.
+	// "" selects "threaded".
 	Variant string
-	// Machine is "r8000" (default), "r10000", or "modern"; it is scaled
-	// by the Config exactly as the table experiments scale it.
+	// Machine is "r8000" (default), "r10000", or "modern". The two SGI
+	// models are scaled by the Config exactly as the tables scale them
+	// (N-body jobs by NBodyScale); "modern" is never scaled, as in the
+	// Modern table, whose point is an L3 that holds the whole problem.
 	Machine string
-	// Steps overrides Config.NBodySteps for N-body jobs (0 = default).
+	// Steps is the N-body step count (0 = Config.NBodySteps); other
+	// kinds ignore it.
 	Steps int
 	// Block overrides the scheduler block size for threaded variants
 	// (0 = the variant's paper default).
 	Block uint64
 	// Hook, when non-nil, runs inside the job's containment just before
-	// the simulation — the seam the server's fault-injection tests use to
-	// make a served job panic without teaching any kernel to fail.
+	// the simulation — the seam the fault-injection tests use to make a
+	// job panic without teaching any kernel to fail.
 	Hook func()
 }
 
@@ -89,94 +99,57 @@ func (s JobSpec) What() string {
 //
 // The pool keeps serving either way: RunJob never panics.
 func (c Config) RunJob(ctx context.Context, spec JobSpec) (SimResult, error) {
-	if ctx != nil {
-		c.Context = ctx
-	} else {
-		ctx = c.Context
+	c, err := c.bind(ctx)
+	if err != nil {
+		return SimResult{}, err
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return SimResult{}, err
-		}
-	}
-	run, err := c.jobRunner(spec)
+	j, err := c.resolve(spec)
 	if err != nil {
 		return SimResult{}, err
 	}
 	what := spec.What()
-	r, perr := c.runJobContained(simJob{key: what, what: what, run: func(Config) SimResult {
-		if spec.Hook != nil {
-			spec.Hook()
-		}
-		return run()
-	}})
-	if perr != nil {
-		if cerr := cancelCause(perr.Value); cerr != nil {
-			return SimResult{}, cerr
-		}
-		return SimResult{}, perr
-	}
-	return r, nil
+	r, perr := contained(what, what, func() SimResult { return c.runJob(spec.Hook, what, j) })
+	return r, servedErr(perr)
 }
 
-// RunExperiment runs one whole experiment ("table1".."table9",
-// "figure4") under the same containment and classification as RunJob,
-// returning the rendered table text.
+// RunExperiment runs one whole experiment, named as in Experiments,
+// under the same containment and classification as RunJob, returning
+// the rendered table text.
 func (c Config) RunExperiment(ctx context.Context, name string) (string, error) {
-	if ctx != nil {
-		c.Context = ctx
-	} else {
-		ctx = c.Context
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return "", err
-		}
-	}
-	fn, err := c.experimentRunner(name)
+	c, err := c.bind(ctx)
 	if err != nil {
 		return "", err
 	}
-	var text string
-	_, perr := c.runJobContained(simJob{key: name, what: name, run: func(Config) SimResult {
-		text = fn().String()
-		return SimResult{}
-	}})
-	if perr != nil {
-		if cerr := cancelCause(perr.Value); cerr != nil {
-			return "", cerr
-		}
-		return "", perr
+	e, err := LookupExperiment(name)
+	if err != nil {
+		return "", err
 	}
-	return text, nil
+	text, perr := contained(e.Name, e.Name, func() string { return e.Render(c, nil).String() })
+	return text, servedErr(perr)
 }
 
-// experimentRunner maps an experiment name onto its table function.
-func (c Config) experimentRunner(name string) (func() *tables.Table, error) {
-	switch strings.ToLower(name) {
-	case "table1":
-		return c.Table1, nil
-	case "table2":
-		return func() *tables.Table { return c.Table2(nil) }, nil
-	case "table3":
-		return func() *tables.Table { return c.Table3(nil) }, nil
-	case "table4":
-		return func() *tables.Table { return c.Table4(nil) }, nil
-	case "table5":
-		return func() *tables.Table { return c.Table5(nil) }, nil
-	case "table6":
-		return func() *tables.Table { return c.Table6(nil) }, nil
-	case "table7":
-		return func() *tables.Table { return c.Table7(nil) }, nil
-	case "table8":
-		return func() *tables.Table { return c.Table8(nil) }, nil
-	case "table9":
-		return func() *tables.Table { return c.Table9(nil) }, nil
-	case "figure4":
-		return func() *tables.Table { return c.Figure4(nil) }, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown experiment %q", ErrBadJobSpec, name)
+// bind bounds c by ctx (nil keeps Config.Context) and reports a context
+// that is already done.
+func (c Config) bind(ctx context.Context) (Config, error) {
+	if ctx != nil {
+		c.Context = ctx
 	}
+	if c.Context != nil {
+		return c, c.Context.Err()
+	}
+	return c, nil
+}
+
+// servedErr classifies a served job's contained panic: none is nil, a
+// cancellation is its context error, anything else the panic itself.
+func servedErr(perr *JobPanicError) error {
+	if perr == nil {
+		return nil
+	}
+	if cerr := cancelCause(perr.Value); cerr != nil {
+		return cerr
+	}
+	return perr
 }
 
 // ValidateJob reports whether spec names a runnable job, without running
@@ -188,93 +161,56 @@ func (c Config) ValidateJob(spec JobSpec) error {
 		if spec.Block > 0 || spec.Steps != 0 {
 			return fmt.Errorf("%w: block/steps do not apply to experiment jobs", ErrBadJobSpec)
 		}
-		_, err := c.experimentRunner(spec.Variant)
+		_, err := LookupExperiment(spec.Variant)
 		return err
 	}
-	_, err := c.jobRunner(spec)
+	_, err := c.resolve(spec)
 	return err
 }
 
-// jobRunner maps a spec onto the table runners, validating every field.
-func (c Config) jobRunner(spec JobSpec) (func() SimResult, error) {
+// resolve validates every field of spec and fills in every default,
+// returning the job it names at this Config. It is the one mapping from
+// spec to simulation: tables resolve their rows through it before the
+// first job starts, and served jobs before they run.
+func (c Config) resolve(spec JobSpec) (job, error) {
 	m, err := c.jobMachine(spec)
 	if err != nil {
-		return nil, err
+		return job{}, err
 	}
-	variant := strings.ToLower(spec.Variant)
-	if variant == "" {
-		variant = "threaded"
+	j := job{kind: spec.Kind, variant: strings.ToLower(spec.Variant), machine: m}
+	if j.variant == "" {
+		j.variant = "threaded"
 	}
-	if spec.Block > 0 && variant != "threaded" {
-		return nil, fmt.Errorf("%w: block override needs the threaded variant, got %q", ErrBadJobSpec, spec.Variant)
+	if spec.Block > 0 && j.variant != "threaded" {
+		return job{}, fmt.Errorf("%w: block override needs the threaded variant, got %q", ErrBadJobSpec, spec.Variant)
 	}
-	switch spec.Kind {
-	case JobMatmul:
-		if spec.Block > 0 {
-			return func() SimResult { return c.RunMatmulThreadedBlock(m, spec.Block) }, nil
-		}
-		v, ok := map[string]MatmulVariant{
-			"interchanged":       MatmulInterchanged,
-			"transposed":         MatmulTransposed,
-			"tiled-interchanged": MatmulTiledInterchanged,
-			"tiled-transposed":   MatmulTiledTransposed,
-			"threaded":           MatmulThreaded,
-		}[variant]
-		if !ok {
-			return nil, fmt.Errorf("%w: unknown matmul variant %q", ErrBadJobSpec, spec.Variant)
-		}
-		return func() SimResult { return c.RunMatmul(v, m) }, nil
-	case JobPDE:
-		if spec.Block > 0 {
-			return func() SimResult { return c.RunPDEThreadedBlock(m, spec.Block) }, nil
-		}
-		v, ok := map[string]PDEVariant{
-			"regular":         PDERegular,
-			"cache-conscious": PDECacheConscious,
-			"threaded":        PDEThreaded,
-		}[variant]
-		if !ok {
-			return nil, fmt.Errorf("%w: unknown pde variant %q", ErrBadJobSpec, spec.Variant)
-		}
-		return func() SimResult { return c.RunPDE(v, m) }, nil
-	case JobSOR:
-		if spec.Block > 0 {
-			return func() SimResult { return c.RunSORThreadedBlock(m, spec.Block) }, nil
-		}
-		v, ok := map[string]SORVariant{
-			"untiled":    SORUntiled,
-			"hand-tiled": SORHandTiled,
-			"threaded":   SORThreaded,
-		}[variant]
-		if !ok {
-			return nil, fmt.Errorf("%w: unknown sor variant %q", ErrBadJobSpec, spec.Variant)
-		}
-		return func() SimResult { return c.RunSOR(v, m) }, nil
-	case JobNBody:
-		steps := spec.Steps
-		if steps <= 0 {
-			steps = c.NBodySteps
-		}
-		if spec.Block > 0 {
-			return func() SimResult { return c.RunNBodyThreadedBlock(m, spec.Block) }, nil
-		}
-		v, ok := map[string]NBodyVariant{
-			"unthreaded": NBodyUnthreaded,
-			"threaded":   NBodyThreaded,
-		}[variant]
-		if !ok {
-			return nil, fmt.Errorf("%w: unknown nbody variant %q", ErrBadJobSpec, spec.Variant)
-		}
-		return func() SimResult { return c.RunNBody(v, m, steps) }, nil
-	case JobTable:
-		return nil, fmt.Errorf("%w: experiment jobs go through RunExperiment", ErrBadJobSpec)
-	default:
-		return nil, fmt.Errorf("%w: unknown kind %q", ErrBadJobSpec, spec.Kind)
+	variants, ok := jobVariants[spec.Kind]
+	switch {
+	case spec.Kind == JobTable:
+		return job{}, fmt.Errorf("%w: experiment jobs go through RunExperiment", ErrBadJobSpec)
+	case !ok:
+		return job{}, fmt.Errorf("%w: unknown kind %q", ErrBadJobSpec, spec.Kind)
+	case !slices.Contains(variants, j.variant):
+		return job{}, fmt.Errorf("%w: unknown %s variant %q", ErrBadJobSpec, spec.Kind, spec.Variant)
 	}
+	if j.variant == "threaded" {
+		j.block = spec.Block
+		if j.block == 0 {
+			j.block = defaultBlock(spec.Kind, m.L2CacheSize())
+		}
+	}
+	if spec.Kind == JobNBody {
+		j.steps = spec.Steps
+		if j.steps <= 0 {
+			j.steps = c.NBodySteps
+		}
+	}
+	return j, nil
 }
 
-// jobMachine resolves the spec's machine model at the Config's scale;
-// N-body jobs use the N-body scale exactly as the tables do.
+// jobMachine resolves the spec's machine model: the SGI models at the
+// Config's scale (N-body jobs at the N-body scale, exactly as the tables
+// do), the modern core unscaled.
 func (c Config) jobMachine(spec JobSpec) (machine.Machine, error) {
 	scale := c.Scale
 	if spec.Kind == JobNBody {
@@ -286,7 +222,7 @@ func (c Config) jobMachine(spec JobSpec) (machine.Machine, error) {
 	case "r10000":
 		return machine.R10000().Scaled(scale), nil
 	case "modern":
-		return machine.Modern().Scaled(scale), nil
+		return machine.Modern(), nil
 	default:
 		return machine.Machine{}, fmt.Errorf("%w: unknown machine %q", ErrBadJobSpec, spec.Machine)
 	}

@@ -3,7 +3,12 @@ package harness
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -24,8 +29,8 @@ func jobConfig() Config {
 }
 
 // TestRunJobCompletes smoke-tests the spec mapping across kinds and pins
-// that a served job's result is identical to the direct runner call — the
-// spot-check the daemon's correctness claim rests on.
+// that a served job's result is identical to the table's run of the same
+// row — the spot-check the daemon's correctness claim rests on.
 func TestRunJobCompletes(t *testing.T) {
 	c := jobConfig()
 	specs := []JobSpec{
@@ -44,7 +49,13 @@ func TestRunJobCompletes(t *testing.T) {
 			t.Fatalf("%s: empty result %+v", spec.What(), r)
 		}
 	}
-	direct := c.RunMatmul(MatmulThreaded, c.R8000())
+	var threaded []row
+	for _, r := range table2Rows {
+		if r.key == "r8000/Threaded" {
+			threaded = append(threaded, r)
+		}
+	}
+	direct := c.runJobs(nil, threaded)["r8000/Threaded"]
 	served, err := c.RunJob(context.Background(), JobSpec{Kind: JobMatmul, Variant: "threaded"})
 	if err != nil {
 		t.Fatal(err)
@@ -274,5 +285,106 @@ func TestConfigReuseConcurrentRace(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// A served N-body job with a block override runs the steps it asks for:
+// a Block no longer drops Steps to one.
+func TestRunJobNBodyBlockHonoursSteps(t *testing.T) {
+	c := jobConfig()
+	block := c.NBodyR8000().L2CacheSize() / 4
+	var instr [2]uint64
+	for i, steps := range []int{1, 2} {
+		r, err := c.RunJob(context.Background(), JobSpec{Kind: JobNBody, Block: block, Steps: steps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		instr[i] = r.Instructions
+	}
+	if instr[1] <= instr[0] {
+		t.Fatalf("2 steps ran %d instructions, 1 step %d: want more", instr[1], instr[0])
+	}
+}
+
+// A served job on the modern machine runs the unscaled model, as the
+// Modern table does: at Quick, untiled matmul takes the table's L2 and
+// L3 misses.
+func TestRunJobModernIsUnscaled(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cache simulation")
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "quick", "modern.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, l := range strings.Split(string(golden), "\n") {
+		if f := strings.Fields(l); len(f) == 5 && f[0] == "Interchanged" {
+			want = f[3:]
+		}
+	}
+	if want == nil {
+		t.Fatalf("no Interchanged row in modern.txt:\n%s", golden)
+	}
+	r, err := Quick().RunJob(context.Background(), JobSpec{Kind: JobMatmul, Variant: "interchanged", Machine: "modern"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := []string{fmt.Sprint(r.Summary.L2.Misses), fmt.Sprint(r.Summary.L3.Misses)}
+	if !slices.Equal(got, want) {
+		t.Fatalf("served modern L2/L3 misses %v, Modern table %v", got, want)
+	}
+}
+
+// tableRows is every table's declared rows, at c.
+func tableRows(c Config) map[string][]row {
+	return map[string][]row{
+		"table2": table2Rows, "table3": table3Rows, "table4": table4Rows, "table5": table5Rows,
+		"table6": table6Rows, "table7": table7Rows, "table8": table8Rows, "table9": table9Rows,
+		"figure4": c.figure4Rows(), "modern": modernRows,
+	}
+}
+
+// The tables' rows are data that can be compared without simulating
+// anything: every row resolves, keys are unique within a table, the miss
+// tables re-run jobs of the time tables, and Figure 4's C/2 column is
+// the time tables' threaded job.
+func TestTableRowsShareJobs(t *testing.T) {
+	for _, c := range []Config{Quick(), Scaled(), Full()} {
+		resolved := map[string]map[string]job{}
+		for name, rows := range tableRows(c) {
+			resolved[name] = map[string]job{}
+			for _, r := range rows {
+				j, err := c.resolve(r.spec)
+				if err != nil {
+					t.Fatalf("%s row %q: %v", name, r.key, err)
+				}
+				if _, dup := resolved[name][r.key]; dup {
+					t.Fatalf("%s: key %q declared twice", name, r.key)
+				}
+				resolved[name][r.key] = j
+			}
+		}
+		r8000Jobs := func(name string) []job {
+			var js []job
+			for key, j := range resolved[name] {
+				if strings.HasPrefix(key, "r8000/") {
+					js = append(js, j)
+				}
+			}
+			return js
+		}
+		for miss, time := range map[string]string{"table3": "table2", "table5": "table4", "table7": "table6"} {
+			for key, j := range resolved[miss] {
+				if !slices.Contains(r8000Jobs(time), j) {
+					t.Errorf("%s row %q is not one of %s's R8000 jobs", miss, key, time)
+				}
+			}
+		}
+		for app, time := range map[string]string{"matmul": "table2", "sor": "table6", "pde": "table4"} {
+			if got, want := resolved["figure4"]["C/2/"+app], resolved[time]["r8000/Threaded"]; got != want {
+				t.Errorf("Figure 4's C/2 %s job %+v, %s's threaded R8000 job %+v", app, got, time, want)
+			}
+		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 // whole problem and whose prefetchers hide streaming misses: the
 // untiled-to-threaded gap collapses.
 func (c Config) Modern(prog Progress) *tables.Table {
-	r8 := c.R8000()
 	modern := machine.Modern()
 	t := &tables.Table{
 		ID: "Modern",
@@ -22,34 +21,27 @@ func (c Config) Modern(prog Progress) *tables.Table {
 		Columns: []string{"", "R8000 sim (s)", "Modern sim (s)",
 			"Modern L2 misses", "Modern L3 misses"},
 	}
-	variants := []struct {
-		name string
-		v    MatmulVariant
-	}{
-		{"Interchanged", MatmulInterchanged},
-		{"Tiled interchanged", MatmulTiledInterchanged},
-		{"Threaded", MatmulThreaded},
-	}
-	var jobs []simJob
-	for _, v := range variants {
-		jobs = append(jobs,
-			simJob{"r8/" + v.name, "modern: " + v.name + " on R8000",
-				func(c Config) SimResult { return c.RunMatmul(v.v, r8) }},
-			simJob{"r10/" + v.name, "modern: " + v.name + " on Modern",
-				func(c Config) SimResult { return c.RunMatmul(v.v, modern) }})
-	}
-	old, res := splitPair(c.runJobs(prog, jobs))
-	for _, v := range variants {
-		now := res[v.name]
-		t.AddRow(v.name,
-			tables.Seconds(old[v.name].Seconds()),
+	res := c.runJobs(prog, modernRows)
+	for _, v := range modernVariants {
+		now := res["modern/"+v.label]
+		t.AddRow(v.label,
+			tables.Seconds(res["r8000/"+v.label].Seconds()),
 			fmt.Sprintf("%.4f", now.Seconds()),
 			fmt.Sprintf("%d", now.Summary.L2.Misses),
 			fmt.Sprintf("%d", now.Summary.L3.Misses))
 	}
-	un, th := res["Interchanged"], res["Threaded"]
+	un, th := res["modern/Interchanged"], res["modern/Threaded"]
 	t.AddNote("untiled/threaded speedup on the modern core: %s (the R8000's was the paper's headline)",
 		tables.Ratio(un.Seconds(), th.Seconds()))
 	t.AddNote("the whole problem fits the modern L3, and next-line prefetch hides the streaming misses")
 	return t
 }
+
+// modernVariants are the matmul variants the Modern table compares.
+var modernVariants = []variant{
+	{"Interchanged", "interchanged"}, {"Tiled interchanged", "tiled-interchanged"}, {"Threaded", "threaded"},
+}
+
+// modernRows declares the Modern table's rows: each variant on the scaled
+// R8000 and on the unscaled modern core.
+var modernRows = pairRows(JobMatmul, "modern", modernVariants...)

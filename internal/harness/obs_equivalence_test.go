@@ -14,19 +14,19 @@ import (
 // reference tallies, miss classification, modelled time, scheduler
 // occupancy — bit-identical, on the serial oracle and on the pipeline.
 func TestGoldenEquivalenceObserved(t *testing.T) {
-	for _, app := range eqApps() {
+	for _, app := range eqApps {
 		app := app
-		t.Run(app.name, func(t *testing.T) {
+		t.Run(app.key, func(t *testing.T) {
 			t.Parallel()
 			for _, mode := range eqModes {
 				plain := eqConfig()
 				plain.serial = mode.serial
-				want := app.run(plain)
+				want := plain.runSpec(app.spec)
 
 				observed := eqConfig()
 				observed.serial = mode.serial
 				observed.Obs = obs.New(4).WithTimeline()
-				got := app.run(observed)
+				got := observed.runSpec(app.spec)
 				requireSameResult(t, "observed/"+mode.name, want, got)
 
 				// The run must actually have been observed: the threaded

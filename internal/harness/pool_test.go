@@ -17,21 +17,22 @@ func TestRunJobsStartInDeclarationOrder(t *testing.T) {
 	started := make(chan int, n)
 	release := make([]chan struct{}, n)
 	var running atomic.Int32
-	jobs := make([]simJob, n)
+	jobs := make([]row, n)
 	for i := range jobs {
 		release[i] = make(chan struct{})
-		jobs[i] = simJob{key: fmt.Sprint(i), what: fmt.Sprint("job ", i), run: func(Config) SimResult {
+		jobs[i] = hookJob(fmt.Sprint(i), func() {
 			if r := running.Add(1); r > 2 {
 				t.Errorf("job %d started with %d jobs running, want at most 2", i, r)
 			}
 			started <- i
 			<-release[i]
 			running.Add(-1)
-			return SimResult{}
-		}}
+		})
 	}
+	c := tinyConfig()
+	c.Parallel = 2
 	done := make(chan map[string]SimResult, 1)
-	go func() { done <- Config{Parallel: 2}.runJobs(nil, jobs) }()
+	go func() { done <- c.runJobs(nil, jobs) }()
 	next := func() int {
 		select {
 		case i := <-started:
@@ -57,25 +58,43 @@ func TestRunJobsStartInDeclarationOrder(t *testing.T) {
 	}
 }
 
+// sorAllocs runs one untiled SOR job per key through a single runJobs
+// call at c, one job at a time, and returns the results and the bytes
+// each job allocated: every job's hook reads the allocation counter as
+// it starts, and the last job ends when runJobs returns.
+func sorAllocs(c Config, keys ...string) (map[string]SimResult, []uint64) {
+	var marks []uint64
+	mark := func() {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		marks = append(marks, ms.TotalAlloc)
+	}
+	rows := make([]row, len(keys))
+	for i, k := range keys {
+		rows[i] = row{k, JobSpec{Kind: JobSOR, Variant: "untiled", Hook: mark}}
+	}
+	out := c.runJobs(nil, rows)
+	mark()
+	allocated := make([]uint64, len(keys))
+	for i := range allocated {
+		allocated[i] = marks[i+1] - marks[i]
+	}
+	return out, allocated
+}
+
 // The jobs of one runJobs call share one arena, handed to them through
-// the Config they run with; each call gets its own, and a Config outside
-// runJobs carries none.
+// the Config they run with (TestRunJobsRecycleBuffers sees the sharing);
+// each call gets its own, and a Config outside runJobs carries none.
+// Seen through allocation: a second call's first job, with a fresh
+// arena, allocates the SOR array the first call's second job recycled.
 func TestRunJobsShareOneArena(t *testing.T) {
-	var seen []*jobArena
-	job := func(key string) simJob {
-		return simJob{key: key, what: key, run: func(c Config) SimResult {
-			seen = append(seen, c.arena)
-			return SimResult{}
-		}}
-	}
-	var c Config
-	c.runJobs(nil, []simJob{job("a"), job("b")})
-	c.runJobs(nil, []simJob{job("c")})
-	if seen[0] == nil || seen[0] != seen[1] {
-		t.Fatalf("jobs of one table ran with arenas %p and %p, want one shared arena", seen[0], seen[1])
-	}
-	if seen[2] == seen[0] {
-		t.Fatal("a second runJobs call reused the first call's arena")
+	c := jobConfig()
+	_, first := sorAllocs(c, "a", "b")
+	_, second := sorAllocs(c, "c")
+	array := uint64(c.SORN * c.SORN * 8)
+	if second[0] < first[1]+array {
+		t.Fatalf("a second runJobs call's first job allocated %d bytes, the first call's second job %d: want the second call to start with an empty arena",
+			second[0], first[1])
 	}
 	if c.arena != nil {
 		t.Fatal("runJobs set the arena on its caller's Config")
@@ -87,19 +106,7 @@ func TestRunJobsShareOneArena(t *testing.T) {
 // allocates at least one SOR array less than the first.
 func TestRunJobsRecycleBuffers(t *testing.T) {
 	c := jobConfig()
-	allocated := make([]uint64, 2)
-	var jobs []simJob
-	for i := range allocated {
-		jobs = append(jobs, simJob{key: fmt.Sprint(i), what: "sor", run: func(c Config) SimResult {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			r := c.RunSOR(SORUntiled, c.R8000())
-			runtime.ReadMemStats(&after)
-			allocated[i] = after.TotalAlloc - before.TotalAlloc
-			return r
-		}})
-	}
-	out := c.runJobs(nil, jobs)
+	out, allocated := sorAllocs(c, "0", "1")
 	requireSameResult(t, "recycled", out["0"], out["1"])
 	array := uint64(c.SORN * c.SORN * 8)
 	if allocated[1]+array > allocated[0] {

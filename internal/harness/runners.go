@@ -7,217 +7,123 @@ import (
 	"threadsched/internal/apps/sor"
 	"threadsched/internal/core"
 	"threadsched/internal/machine"
-	"threadsched/internal/obs"
 	"threadsched/internal/sim"
 	"threadsched/internal/vm"
 )
 
-// schedOverride builds a scheduler for a threaded variant: blockSize 0
-// selects the variant's paper default; tour selects the bin traversal;
-// obs (set by the runner constructors from Config.Obs) attaches the
-// observability layer.
-type schedOverride struct {
-	blockSize uint64
-	tour      core.TourOrder
-	obs       *obs.Obs
+// job is a resolved JobSpec: everything one simulation depends on beyond
+// the Config's problem sizes, with every default filled in. It is a
+// comparable value, so two rows that would run the same simulation
+// resolve to equal jobs, whichever table declares them.
+type job struct {
+	kind    JobKind
+	variant string // lower case, one of jobVariants[kind]
+	machine machine.Machine
+	// block is the scheduler block size of a threaded variant (the
+	// variant's paper default unless the spec overrides it); 0 for every
+	// other variant.
+	block uint64
+	// steps is the N-body step count; 0 for the other kinds.
+	steps int
+	// tour is the scheduler's bin traversal. No spec sets it: only the
+	// tour ablation runs a non-default tour.
+	tour core.TourOrder
 }
 
-func (o schedOverride) build(l2 uint64, defaultBlock uint64) *core.Scheduler {
-	block := o.blockSize
-	if block == 0 {
-		block = defaultBlock
+// jobVariants lists each kind's variants, in its time table's row order;
+// "threaded" is the one that forks threads through the locality
+// scheduler.
+var jobVariants = map[JobKind][]string{
+	JobMatmul: {"interchanged", "transposed", "tiled-interchanged", "tiled-transposed", "threaded"},
+	JobPDE:    {"regular", "cache-conscious", "threaded"},
+	JobSOR:    {"untiled", "hand-tiled", "threaded"},
+	JobNBody:  {"unthreaded", "threaded"},
+}
+
+// defaultBlock is the paper's scheduler block size for a threaded kind
+// on an L2 of l2 bytes: half the cache per dimension for the two-hint
+// dense kernels, the three-dimension default for N-body.
+func defaultBlock(kind JobKind, l2 uint64) uint64 {
+	if kind == JobNBody {
+		return core.DefaultBlockSize(l2, 3)
 	}
-	return core.New(core.Config{CacheSize: l2, BlockSize: block, Tour: o.tour, Obs: o.obs})
+	return l2 / 2
 }
 
-// Matrix multiply runners (Tables 2, 3; Figure 4).
-
-// MatmulVariant names a matmul variant.
-type MatmulVariant int
-
-// Matmul variant identifiers, in Table 2 row order.
-const (
-	MatmulInterchanged MatmulVariant = iota
-	MatmulTransposed
-	MatmulTiledInterchanged
-	MatmulTiledTransposed
-	MatmulThreaded
-)
-
-func (c Config) matmulRunner(v MatmulVariant, m machine.Machine, o schedOverride) runner {
-	n := c.MatmulN
-	o.obs = c.Obs
-	return func(cpu *sim.CPU, as *vm.AddressSpace) *core.Scheduler {
-		tr := matmul.NewTraced(cpu, as, n)
-		switch v {
-		case MatmulInterchanged:
-			tr.Interchanged()
-		case MatmulTransposed:
-			tr.Transposed()
-		case MatmulTiledInterchanged:
-			tr.TiledInterchanged(matmul.TileFor(m.L2CacheSize()))
-		case MatmulTiledTransposed:
-			tr.TiledTransposed(matmul.TileFor(m.L2CacheSize()))
-		case MatmulThreaded:
-			sched := o.build(m.L2CacheSize(), m.L2CacheSize()/2)
-			th := sim.NewThreads(cpu, as, sched)
-			tr.Threaded(th)
-			return sched
+// run simulates one resolved job on its machine: the one path every
+// table row and every served job takes.
+func (c Config) run(j job) SimResult {
+	l2 := j.machine.L2CacheSize()
+	return c.simulate(j.machine, func(cpu *sim.CPU, as *vm.AddressSpace) *core.Scheduler {
+		var sched *core.Scheduler
+		// threads builds the scheduler once the workload has laid out its
+		// data, so the thread records sit where they always have.
+		threads := func() *sim.Threads {
+			sched = core.New(core.Config{CacheSize: l2, BlockSize: j.block, Tour: j.tour, Obs: c.Obs})
+			return sim.NewThreads(cpu, as, sched)
 		}
-		return nil
-	}
-}
-
-// RunMatmul simulates one matmul variant on machine m.
-func (c Config) RunMatmul(v MatmulVariant, m machine.Machine) SimResult {
-	return c.simulate(m, c.matmulRunner(v, m, schedOverride{}))
-}
-
-// RunMatmulThreadedBlock simulates the threaded matmul with an explicit
-// scheduler block size (Figure 4 sweeps this).
-func (c Config) RunMatmulThreadedBlock(m machine.Machine, block uint64) SimResult {
-	return c.simulate(m, c.matmulRunner(MatmulThreaded, m, schedOverride{blockSize: block}))
-}
-
-// PDE runners (Tables 4, 5; Figure 4).
-
-// PDEVariant names a PDE variant.
-type PDEVariant int
-
-// PDE variant identifiers, in Table 4 row order.
-const (
-	PDERegular PDEVariant = iota
-	PDECacheConscious
-	PDEThreaded
-)
-
-func (c Config) pdeRunner(v PDEVariant, m machine.Machine, o schedOverride) runner {
-	n, iters := c.PDEN, c.PDEIters
-	o.obs = c.Obs
-	return func(cpu *sim.CPU, as *vm.AddressSpace) *core.Scheduler {
-		g := pde.NewTracedGrid(cpu, as, n)
-		switch v {
-		case PDERegular:
-			g.Regular(iters)
-		case PDECacheConscious:
-			g.CacheConscious(iters)
-		case PDEThreaded:
-			sched := o.build(m.L2CacheSize(), m.L2CacheSize()/2)
-			th := sim.NewThreads(cpu, as, sched)
-			g.Threaded(iters, th)
-			return sched
-		}
-		return nil
-	}
-}
-
-// RunPDE simulates one PDE variant on machine m.
-func (c Config) RunPDE(v PDEVariant, m machine.Machine) SimResult {
-	return c.simulate(m, c.pdeRunner(v, m, schedOverride{}))
-}
-
-// RunPDEThreadedBlock simulates the threaded PDE with an explicit block
-// size.
-func (c Config) RunPDEThreadedBlock(m machine.Machine, block uint64) SimResult {
-	return c.simulate(m, c.pdeRunner(PDEThreaded, m, schedOverride{blockSize: block}))
-}
-
-// SOR runners (Tables 6, 7; Figure 4).
-
-// SORVariant names a SOR variant.
-type SORVariant int
-
-// SOR variant identifiers, in Table 6 row order.
-const (
-	SORUntiled SORVariant = iota
-	SORHandTiled
-	SORThreaded
-)
-
-func (c Config) sorRunner(v SORVariant, m machine.Machine, o schedOverride) runner {
-	n, iters := c.SORN, c.SORIters
-	o.obs = c.Obs
-	return func(cpu *sim.CPU, as *vm.AddressSpace) *core.Scheduler {
-		tr := sor.NewTracedArray(cpu, as, n)
-		switch v {
-		case SORUntiled:
-			tr.Untiled(iters)
-		case SORHandTiled:
-			s, tb := c.SORStrip, 0
-			if s == 0 {
-				s, tb = sor.TileParams(n, iters, m.L2CacheSize())
+		switch j.kind {
+		case JobMatmul:
+			tr := matmul.NewTraced(cpu, as, c.MatmulN)
+			switch j.variant {
+			case "interchanged":
+				tr.Interchanged()
+			case "transposed":
+				tr.Transposed()
+			case "tiled-interchanged":
+				tr.TiledInterchanged(matmul.TileFor(l2))
+			case "tiled-transposed":
+				tr.TiledTransposed(matmul.TileFor(l2))
+			case "threaded":
+				tr.Threaded(threads())
 			}
-			tr.HandTiled(iters, s, tb)
-		case SORThreaded:
-			sched := o.build(m.L2CacheSize(), m.L2CacheSize()/2)
-			th := sim.NewThreads(cpu, as, sched)
-			tr.Threaded(iters, th)
-			return sched
-		}
-		return nil
-	}
-}
-
-// RunSOR simulates one SOR variant on machine m.
-func (c Config) RunSOR(v SORVariant, m machine.Machine) SimResult {
-	return c.simulate(m, c.sorRunner(v, m, schedOverride{}))
-}
-
-// RunSORThreadedBlock simulates the threaded SOR with an explicit block
-// size.
-func (c Config) RunSORThreadedBlock(m machine.Machine, block uint64) SimResult {
-	return c.simulate(m, c.sorRunner(SORThreaded, m, schedOverride{blockSize: block}))
-}
-
-// N-body runners (Tables 8, 9; Figure 4).
-
-// NBodyVariant names an N-body variant.
-type NBodyVariant int
-
-// N-body variant identifiers, in Table 8 row order.
-const (
-	NBodyUnthreaded NBodyVariant = iota
-	NBodyThreaded
-)
-
-func (c Config) nbodyRunner(v NBodyVariant, m machine.Machine, steps int, o schedOverride) runner {
-	n := c.NBodyN
-	o.obs = c.Obs
-	return func(cpu *sim.CPU, as *vm.AddressSpace) *core.Scheduler {
-		s := nbody.NewSystem(n, 42)
-		tr := nbody.NewTracer(cpu, as, n)
-		// One tree per job, rebuilt in place every step.
-		t := &nbody.Tree{}
-		switch v {
-		case NBodyUnthreaded:
-			for i := 0; i < steps; i++ {
-				nbody.StepUnthreadedReuse(s, t, tr)
+		case JobPDE:
+			g := pde.NewTracedGrid(cpu, as, c.PDEN)
+			switch j.variant {
+			case "regular":
+				g.Regular(c.PDEIters)
+			case "cache-conscious":
+				g.CacheConscious(c.PDEIters)
+			case "threaded":
+				g.Threaded(c.PDEIters, threads())
 			}
-		case NBodyThreaded:
-			sched := o.build(m.L2CacheSize(), core.DefaultBlockSize(m.L2CacheSize(), 3))
-			th := sim.NewThreads(cpu, as, sched)
-			for i := 0; i < steps; i++ {
-				nbody.StepThreadedTraced(s, t, th, tr)
+		case JobSOR:
+			tr := sor.NewTracedArray(cpu, as, c.SORN)
+			switch j.variant {
+			case "untiled":
+				tr.Untiled(c.SORIters)
+			case "hand-tiled":
+				s, tb := c.SORStrip, 0
+				if s == 0 {
+					s, tb = sor.TileParams(c.SORN, c.SORIters, l2)
+				}
+				tr.HandTiled(c.SORIters, s, tb)
+			case "threaded":
+				tr.Threaded(c.SORIters, threads())
 			}
-			return sched
+		case JobNBody:
+			s := nbody.NewSystem(c.NBodyN, 42)
+			tr := nbody.NewTracer(cpu, as, c.NBodyN)
+			// One tree per job, rebuilt in place every step.
+			t := &nbody.Tree{}
+			if j.variant == "threaded" {
+				th := threads()
+				for i := 0; i < j.steps; i++ {
+					nbody.StepThreadedTraced(s, t, th, tr)
+				}
+			} else {
+				for i := 0; i < j.steps; i++ {
+					nbody.StepUnthreadedReuse(s, t, tr)
+				}
+			}
 		}
-		return nil
-	}
+		return sched
+	})
 }
 
-// RunNBody simulates one N-body variant for the given number of steps.
-func (c Config) RunNBody(v NBodyVariant, m machine.Machine, steps int) SimResult {
-	return c.simulate(m, c.nbodyRunner(v, m, steps, schedOverride{}))
-}
-
-// RunNBodyThreadedBlock simulates the threaded N-body (one step) with an
-// explicit block size.
-func (c Config) RunNBodyThreadedBlock(m machine.Machine, block uint64) SimResult {
-	return c.simulate(m, c.nbodyRunner(NBodyThreaded, m, 1, schedOverride{blockSize: block}))
-}
-
-// RunNBodyThreadedTour simulates the threaded N-body with a bin tour
-// order, for the tour ablation.
+// RunNBodyThreadedTour simulates one step of the threaded N-body on
+// machine m with a bin tour order, for the tour ablation.
 func (c Config) RunNBodyThreadedTour(m machine.Machine, tour core.TourOrder) SimResult {
-	return c.simulate(m, c.nbodyRunner(NBodyThreaded, m, 1, schedOverride{tour: tour}))
+	return c.run(job{kind: JobNBody, variant: "threaded", machine: m,
+		block: defaultBlock(JobNBody, m.L2CacheSize()), steps: 1, tour: tour})
 }

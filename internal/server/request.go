@@ -20,11 +20,14 @@ type Request struct {
 	Tenant string `json:"tenant,omitempty"`
 	// Kind is "matmul", "pde", "sor", "nbody", or "table".
 	Kind string `json:"kind"`
-	// Variant is the kind-specific variant name ("" = "threaded"); for
-	// kind "table" it names the experiment ("table1".."table9",
-	// "figure4").
+	// Variant is the kind-specific variant name, as harness.JobSpec
+	// lists them ("" = "threaded"); for kind "table" it names an
+	// experiment of harness.Experiments ("table1".."table9", "figure4",
+	// "ablations" or "modern").
 	Variant string `json:"variant,omitempty"`
-	// Machine is "r8000" (default), "r10000", or "modern".
+	// Machine is "r8000" (default), "r10000", or "modern". The SGI
+	// models are scaled as the tables scale them; "modern" runs unscaled,
+	// as in the Modern table.
 	Machine string `json:"machine,omitempty"`
 	// Size selects the base geometry: "" (server default), "quick", or
 	// "scaled".
@@ -43,7 +46,8 @@ type Request struct {
 	SORN     int `json:"sor_n,omitempty"`
 	SORIters int `json:"sor_iters,omitempty"`
 	NBodyN   int `json:"nbody_n,omitempty"`
-	// Steps is the N-body step count (0 = the size's default).
+	// Steps is the N-body step count (0 = the size's default), with or
+	// without a block override; other kinds ignore it.
 	Steps int `json:"steps,omitempty"`
 	// Block overrides the scheduler block size for threaded variants.
 	Block uint64 `json:"block,omitempty"`

@@ -99,7 +99,10 @@ func TestServeLifecycle(t *testing.T) {
 	if st.State != StateDone || st.Result == nil {
 		t.Fatalf("wait: %+v", st)
 	}
-	direct := testHarness().RunMatmul(harness.MatmulThreaded, testHarness().R8000())
+	direct, err := testHarness().RunJob(context.Background(), harness.JobSpec{Kind: harness.JobMatmul, Variant: "threaded"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Result.Instructions != direct.Instructions || st.Result.L1Misses != direct.Summary.L1Misses {
 		t.Fatalf("served result differs from direct run:\n served %+v\n direct %+v", st.Result, direct.Summary)
 	}
