@@ -58,7 +58,7 @@ test:
 
 race:
 	$(GO) test -race -timeout 10m ./internal/arena/... ./internal/core/... ./internal/trace/... ./internal/obs/... ./internal/fault/... ./internal/sim/... ./internal/server/... ./internal/journal/... ./cmd/tracesim/...
-	$(GO) test -race -count=10 -timeout 10m -run 'TestDepScheduler(Parallel|DataflowOrder|HaltedRun|ObservedParks)|TestCriticalPathFirst|TestPanicMatrix/wavefront|TestDependencyCycle|TestUnknownDependency' ./internal/core/
+	$(GO) test -race -count=10 -timeout 10m -run 'TestDepScheduler(Parallel|DataflowOrder|HaltedRun|ObservedParks)|TestPanicMatrix/wavefront|TestDependencyCycle|TestUnknownDependency' ./internal/core/
 	$(GO) test -race -timeout 10m -run 'Parallel|Exact|Threaded' ./internal/apps/...
 	$(GO) test -race -timeout 10m -run 'TestGoldenEquivalence|TestRunJobs|TestReplayBench|TestRunJob|TestConfigReuse|TestPipelinedJob' ./internal/harness/
 

@@ -49,6 +49,15 @@
 // spawn cost for keep=true re-runs); Close releases them. The bin tour is
 // memoized between runs and recomputed only when a new bin was allocated.
 //
+// # Dependences
+//
+// DepScheduler adds what §6 leaves open: a thread may name earlier
+// threads it must run after. It has one executor, a dataflow loop that
+// runs a thread as soon as its last predecessor finishes and otherwise
+// takes runnable threads in (bin, ThreadID) order, so independent
+// threads stay clustered by bin. Workers ≤ 1 runs that loop on the
+// calling goroutine; Workers > 1 runs it on the worker pool.
+//
 // # Thread groups
 //
 // A bin's first thread group holds FirstGroupSize records and each later
@@ -143,14 +152,12 @@ type Config struct {
 	// size. If zero, DefaultCacheSize is assumed.
 	CacheSize uint64
 	// BlockSize is the per-dimension block size in bytes; 0 selects the
-	// default CacheSize/Dims rounded down to a power of two ("dimension
-	// sizes … sum … the same as the second-level cache size", §3.2).
+	// default CacheSize/MaxHints rounded down to a power of two
+	// ("dimension sizes … sum … the same as the second-level cache
+	// size", §3.2).
 	// Non-power-of-two values are rounded down to a power of two so the
 	// hint-to-block mapping stays a shift.
 	BlockSize uint64
-	// Dims is the number of hint dimensions used for the default block
-	// size; 0 means MaxHints.
-	Dims int
 	// HashDim is the per-dimension hash table size (power of two); 0
 	// selects DefaultHashDim.
 	HashDim int
@@ -171,12 +178,6 @@ type Config struct {
 	// Thread bodies must then be safe to run concurrently with each
 	// other. 0 or 1 runs everything on the calling goroutine.
 	Workers int
-	// CriticalPathFirst orders DepScheduler execution by longest remaining
-	// dependence path (precomputed once per DAG) so chains drain before
-	// leaves: the serial executor visits the bins holding the tallest
-	// chains first, and the parallel executor's ready heap yields the
-	// tallest chain first. False — the default — keeps (bin, fork) order.
-	CriticalPathFirst bool
 	// Obs attaches the observability layer: per-worker scheduler metrics
 	// (steals, bins and threads per worker, segment drain times), worker
 	// timeline spans, and pprof labels on the worker pool. Nil (the

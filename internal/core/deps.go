@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -21,29 +20,19 @@ import (
 // be demonstrated."
 //
 // A thread may name previously forked threads it must run after. Run
-// executes a locality-greedy topological order: bins are visited in the
-// usual ready-list order and every runnable (dependence-satisfied) thread
-// of a bin executes before the scheduler moves on; threads whose
-// predecessors are still pending stay queued and their bin is revisited.
-// Independent threads therefore keep the paper's bin clustering, and
-// dependent ones are delayed exactly as long as the DAG requires.
-//
-// With Config.Workers > 1, Run instead executes the DAG as a dataflow
-// graph on the persistent worker pool: a thread runs as soon as its last
-// predecessor finishes, on the worker that finished it when it is the
-// first dependent that worker readied, and otherwise from a shared ready
-// heap kept in (bin, ThreadID) order, so workers still walk neighbouring
-// bins. There is no barrier between dependence levels. Threads with no
-// dependence path between them may then run concurrently — callers must
-// ensure the dependence edges cover every conflicting access, which is
-// exactly what the wavefront variants (sor.ThreadedExact,
-// pde.ThreadedExact) encode. Fork remains single-goroutine either way.
-//
-// Config.CriticalPathFirst additionally orders execution by downstream
-// slack: each thread's longest remaining dependence path is computed once
-// per DAG, the serial executor visits bins holding the tallest chains
-// first each round, and the parallel executor's ready heap yields the
-// tallest chain first — so chains retire ahead of leaves.
+// executes the DAG as a dataflow graph on Config.Workers workers (one,
+// the calling goroutine, when Workers is below two): a thread runs as
+// soon as its last predecessor finishes, on the worker that finished it
+// when it is the first dependent that worker readied, and otherwise from
+// a shared ready heap kept in (bin, ThreadID) order. Independent threads
+// therefore run clustered by bin, in the paper's bin order, and
+// dependent ones are delayed exactly as long as the DAG requires. There
+// is no barrier between dependence levels. With more than one worker,
+// threads with no dependence path between them may run concurrently —
+// callers must ensure the dependence edges cover every conflicting
+// access, which is exactly what the wavefront variants
+// (sor.ThreadedExact, pde.ThreadedExact) encode. Fork is
+// single-goroutine.
 type DepScheduler struct {
 	sched *Scheduler // reuses binning via an internal fork of metadata
 
@@ -51,25 +40,18 @@ type DepScheduler struct {
 	fold       bool
 	workers    int
 
-	// critical enables Config.CriticalPathFirst: heights[id] is the
-	// longest dependence path below thread id (its downstream slack),
-	// computed once per DAG, and the ready heap yields tallest-first.
-	critical bool
-	heights  []int32
-
-	// parks counts the times a parallel worker found nothing runnable and
-	// parked (dep.parks); nil when the Config carried no Obs.
+	// parks counts the times a worker found nothing runnable and parked
+	// (dep.parks); nil when the Config carried no Obs.
 	parks *obs.Counter
 
 	threads []depThread
-	bins    []*depBin
-	binIdx  map[binKey]int
+	binIdx  map[binKey]int // bin index by key, numbered in first-fork order
 	pending int
 
-	// Parallel-executor state, shared by one Run's workers. mu guards
-	// ready (the heap of runnable threads no worker has claimed), idle
-	// (the parked workers) and stop (the run is over); wake parks and
-	// wakes workers on mu. ran sums the threads the workers executed.
+	// Executor state, shared by one Run's workers. mu guards ready (the
+	// heap of runnable threads no worker has claimed), idle (the parked
+	// workers) and stop (the run is over); wake parks and wakes workers
+	// on mu. ran sums the threads the workers executed.
 	mu    sync.Mutex
 	wake  sync.Cond
 	ready []ThreadID
@@ -86,8 +68,8 @@ type depThread struct {
 	arg1, arg2 int
 	bin        int
 	// waits is the number of unfinished predecessors (-1 marks an invalid
-	// dependence). The parallel executor decrements it atomically; every
-	// plain access happens outside its fanOut, so it is safe.
+	// dependence). The executor decrements it atomically; every plain
+	// access happens outside its fanOut, so it is safe.
 	waits int32
 	// badDep is the offending dependence when waits is -1, surfaced by
 	// Run in the UnknownDependencyError.
@@ -95,12 +77,6 @@ type depThread struct {
 	// dependents are thread IDs to notify on completion.
 	dependents []ThreadID
 	done       bool
-}
-
-type depBin struct {
-	key   binKey
-	queue []ThreadID // forked order
-	next  int        // first unexecuted index (serial executor)
 }
 
 // ErrDependencyCycle reports that Run found threads that can never become
@@ -166,8 +142,8 @@ func (e *UnknownDependencyError) Error() string {
 // Unwrap matches errors.Is(err, ErrUnknownDependency).
 func (e *UnknownDependencyError) Unwrap() error { return ErrUnknownDependency }
 
-// NewDep returns a dependence-aware scheduler configured like New.
-// Config.Workers > 1 selects the parallel dataflow executor.
+// NewDep returns a dependence-aware scheduler configured like New;
+// Config.Workers is the number of workers Run executes the DAG on.
 func NewDep(cfg Config) *DepScheduler {
 	s := New(cfg)
 	d := &DepScheduler{
@@ -175,7 +151,6 @@ func NewDep(cfg Config) *DepScheduler {
 		blockShift: s.blockShift,
 		fold:       cfg.FoldSymmetric,
 		workers:    cfg.Workers,
-		critical:   cfg.CriticalPathFirst,
 		binIdx:     make(map[binKey]int),
 	}
 	if cfg.Obs != nil {
@@ -185,11 +160,11 @@ func NewDep(cfg Config) *DepScheduler {
 	return d
 }
 
-// Workers returns the configured parallel-executor worker count; values
-// below two mean Run drains bins serially.
+// Workers returns the configured worker count; values below two mean Run
+// executes the DAG on the calling goroutine alone.
 func (d *DepScheduler) Workers() int { return d.workers }
 
-// Close releases the worker goroutines a parallel Run left parked; see
+// Close releases the worker goroutines a multi-worker Run left parked; see
 // Scheduler.Close.
 func (d *DepScheduler) Close() { d.sched.Close() }
 
@@ -205,7 +180,7 @@ func (d *DepScheduler) BlockSize() uint64 { return d.sched.BlockSize() }
 func (d *DepScheduler) Pending() int { return d.pending }
 
 // BinsUsed returns the number of bins holding threads.
-func (d *DepScheduler) BinsUsed() int { return len(d.bins) }
+func (d *DepScheduler) BinsUsed() int { return len(d.binIdx) }
 
 // Fork schedules f(arg1, arg2) with the usual address hints, to run only
 // after every thread in deps has completed. It returns the new thread's
@@ -227,9 +202,8 @@ func (d *DepScheduler) Fork(f Func, arg1, arg2 int, h1, h2, h3 uint64, deps ...T
 	}
 	bi, ok := d.binIdx[key]
 	if !ok {
-		bi = len(d.bins)
+		bi = len(d.binIdx)
 		d.binIdx[key] = bi
-		d.bins = append(d.bins, &depBin{key: key})
 	}
 	id := ThreadID(len(d.threads))
 	t := depThread{fn: f, arg1: arg1, arg2: arg2, bin: bi}
@@ -247,7 +221,6 @@ func (d *DepScheduler) Fork(f Func, arg1, arg2 int, h1, h2, h3 uint64, deps ...T
 		}
 	}
 	d.threads = append(d.threads, t)
-	d.bins[bi].queue = append(d.bins[bi].queue, id)
 	d.pending++
 	return id
 }
@@ -270,15 +243,26 @@ func (d *DepScheduler) Run() error {
 }
 
 // RunContext is Run with cooperative cancellation and fault containment.
-// A thread panic is recovered, the run quiesces (parallel workers stop at
-// their next thread boundary; no goroutines leak), and the first panic
-// returns as a *ThreadPanicError. A done ctx stops the run at the next
-// bin (serial) or thread (parallel) boundary and returns ctx.Err(). In a
-// parallel run, a thread that became runnable only after the halt never
-// runs; in any run, no thread starts after RunContext returns. Invalid
-// dependencies return an *UnknownDependencyError before any thread runs,
-// and a run that stops making progress returns a *DependencyCycleError
-// naming one witness cycle.
+// A thread panic is recovered, the run quiesces (workers stop at their
+// next thread boundary; no goroutines leak), and the first panic returns
+// as a *ThreadPanicError. A done ctx stops the run at the next thread
+// boundary and returns ctx.Err(), even when every thread ran. A thread
+// that became runnable only after the halt never runs, and no thread
+// starts after RunContext returns. Invalid dependencies return an
+// *UnknownDependencyError before any thread runs, and a run that stops
+// making progress returns a *DependencyCycleError naming one witness
+// cycle.
+//
+// A single fanOut starts every worker, and there is no barrier between
+// dependence levels: a worker runs a thread as soon as the thread's last
+// predecessor finishes. Of the dependents a finished thread readies, the
+// worker keeps the first and runs it next — in the wavefront codes that
+// is the same-sweep neighbour, one bin step along — and publishes the
+// rest to the shared ready heap. A worker with nothing kept takes the
+// heap's first thread and parks while the heap is empty. The run ends
+// when the heap is empty and every other worker is parked (no running
+// thread is left to ready anything: either every thread ran or the rest
+// can never run), or when a thread panic or a done ctx halts it.
 //
 // On any outcome the schedule is destroyed: forked threads are discarded
 // (executed or not) and the scheduler is immediately reusable for a fresh
@@ -295,52 +279,6 @@ func (d *DepScheduler) RunContext(ctx context.Context) error {
 	}
 	d.sched.running.Store(true)
 	defer d.sched.running.Store(false)
-	if d.critical {
-		d.computeHeights()
-	}
-	if d.workers > 1 {
-		return d.runParallel(ctx)
-	}
-	binOrder := d.serialBinOrder()
-	remaining := d.pending
-	for remaining > 0 {
-		ranThisRound := 0
-		for i := range d.bins {
-			bi := i
-			if binOrder != nil {
-				bi = binOrder[i]
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			ran, perr := d.drainBin(d.bins[bi], bi)
-			ranThisRound += ran
-			if perr != nil {
-				return perr
-			}
-		}
-		if ranThisRound == 0 {
-			return d.cycleError()
-		}
-		remaining -= ranThisRound
-	}
-	// Cancellation wins even when it lands during the final drain, as it
-	// does in the parallel executor.
-	return ctx.Err()
-}
-
-// runParallel is the parallel executor. A single fanOut starts every
-// worker, and there is no barrier between dependence levels: a worker
-// runs a thread as soon as the thread's last predecessor finishes. Of
-// the dependents a finished thread readies, the worker keeps the first
-// and runs it next — in the wavefront codes that is the same-sweep
-// neighbour, one bin step along — and publishes the rest to the shared
-// ready heap. A worker with nothing kept takes the heap's first thread
-// and parks while the heap is empty. The run ends when the heap is empty
-// and every other worker is parked (no running thread is left to ready
-// anything: either every thread ran or the rest can never run), or when
-// a thread panic or a done ctx halts it.
-func (d *DepScheduler) runParallel(ctx context.Context) error {
 	workers := max(1, min(d.workers, d.pending))
 	ctrl := newRunControl(ctx)
 	for id := range d.threads {
@@ -468,14 +406,8 @@ func (d *DepScheduler) runFrom(id ThreadID, worker int, ctrl *runControl) (ran i
 }
 
 // readyOrder orders the ready heap: (bin, ThreadID), the order a walk of
-// every bin's queue would meet runnable threads in, and under
-// CriticalPathFirst the tallest remaining chain first.
+// every bin's forked threads would meet runnable threads in.
 func (d *DepScheduler) readyOrder(a, b ThreadID) int {
-	if d.critical {
-		if c := cmp.Compare(d.heights[b], d.heights[a]); c != 0 {
-			return c
-		}
-	}
 	if c := cmp.Compare(d.threads[a].bin, d.threads[b].bin); c != 0 {
 		return c
 	}
@@ -521,115 +453,6 @@ func (d *DepScheduler) pop() ThreadID {
 	}
 	d.ready = h
 	return top
-}
-
-// computeHeights fills heights[id] with the longest dependence path from
-// thread id down through its dependents — the amount of serial work its
-// completion unblocks. Dependence edges only point from lower to higher
-// IDs (a dependence must name an already-forked thread), so one
-// descending-ID pass settles every height.
-func (d *DepScheduler) computeHeights() {
-	n := len(d.threads)
-	if cap(d.heights) < n {
-		d.heights = make([]int32, n)
-	} else {
-		d.heights = d.heights[:n]
-		for i := range d.heights {
-			d.heights[i] = 0
-		}
-	}
-	for id := n - 1; id >= 0; id-- {
-		h := int32(0)
-		for _, dep := range d.threads[id].dependents {
-			if hh := d.heights[dep] + 1; hh > h {
-				h = hh
-			}
-		}
-		d.heights[id] = h
-	}
-}
-
-// serialBinOrder is the bin visit order for the serial executor: nil (the
-// identity, allocation order) normally; under CriticalPathFirst, bins
-// sorted by their tallest thread's height descending, so every round of
-// the scan reaches the bins holding the longest remaining chains first.
-func (d *DepScheduler) serialBinOrder() []int {
-	if !d.critical {
-		return nil
-	}
-	maxH := make([]int32, len(d.bins))
-	for bi, b := range d.bins {
-		for _, id := range b.queue {
-			if h := d.heights[id]; h > maxH[bi] {
-				maxH[bi] = h
-			}
-		}
-	}
-	order := make([]int, len(d.bins))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return maxH[order[a]] > maxH[order[b]] })
-	return order
-}
-
-// drainBin runs every currently runnable thread of the bin, in forked
-// order, including threads unblocked by work done within this drain. A
-// thread panic is recovered into a *ThreadPanicError identifying the
-// thread; ran still counts the threads that completed before it.
-func (d *DepScheduler) drainBin(b *depBin, binIdx int) (ran int, perr *ThreadPanicError) {
-	cur := ThreadID(-1)
-	defer func() {
-		if r := recover(); r != nil {
-			perr = &ThreadPanicError{
-				Value:  r,
-				Phase:  "dep-run",
-				Worker: 0,
-				Bin:    binIdx,
-				Thread: int(cur),
-				Stack:  debug.Stack(),
-			}
-		}
-	}()
-	for {
-		progressed := false
-		// Advance the frontier past executed threads and run runnable
-		// ones at the frontier; scan the tail for runnable stragglers.
-		for i := b.next; i < len(b.queue); i++ {
-			id := b.queue[i]
-			t := &d.threads[id]
-			if t.done {
-				if i == b.next {
-					b.next++
-				}
-				continue
-			}
-			if t.waits > 0 {
-				continue
-			}
-			cur = id
-			d.execute(id)
-			ran++
-			progressed = true
-			if i == b.next {
-				b.next++
-			}
-		}
-		if !progressed {
-			return ran, nil
-		}
-	}
-}
-
-// execute runs one thread and notifies dependents.
-func (d *DepScheduler) execute(id ThreadID) {
-	t := &d.threads[id]
-	t.fn(t.arg1, t.arg2)
-	t.done = true
-	d.pending--
-	for _, dep := range t.dependents {
-		d.threads[dep].waits--
-	}
 }
 
 // cycleError builds the diagnosable cycle report once a run stops making
@@ -691,7 +514,6 @@ func (d *DepScheduler) cycleError() *DependencyCycleError {
 // unclaimed runnable threads must not leak into the next run.
 func (d *DepScheduler) reset() {
 	d.threads = d.threads[:0]
-	d.bins = d.bins[:0]
 	clear(d.binIdx)
 	d.pending = 0
 	d.ready = d.ready[:0]

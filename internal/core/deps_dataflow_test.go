@@ -55,9 +55,9 @@ func gridDAG(iters, cols int) depDAG {
 	return g
 }
 
-// TestDepSchedulerDataflowOrder pins the parallel executor's contract on
-// SOR-shaped and random DAGs, under both orderings (bin-and-fork order
-// and CriticalPathFirst): atomic start and finish stamps show that every
+// TestDepSchedulerDataflowOrder pins the executor's contract on
+// SOR-shaped and random DAGs, at one worker (the calling goroutine) and
+// on the worker pool: atomic start and finish stamps show that every
 // thread starts after each of its own predecessors finished, and every
 // thread runs exactly once.
 func TestDepSchedulerDataflowOrder(t *testing.T) {
@@ -68,38 +68,35 @@ func TestDepSchedulerDataflowOrder(t *testing.T) {
 		"random3": randomDAG(3, 300, 3),
 	}
 	for name, g := range dags {
-		for _, workers := range []int{2, 4} {
-			for _, critical := range []bool{false, true} {
-				label := fmt.Sprintf("%s workers=%d critical=%v", name, workers, critical)
-				d := NewDep(Config{CacheSize: 1 << 20, BlockSize: 1 << 12, Workers: workers,
-					CriticalPathFirst: critical})
-				var clock atomic.Int64
-				start := make([]int64, len(g.deps))
-				finish := make([]int64, len(g.deps))
-				runs := make([]int32, len(g.deps))
-				for i := range g.deps {
-					d.Fork(func(i, _ int) {
-						atomic.AddInt32(&runs[i], 1)
-						atomic.StoreInt64(&start[i], clock.Add(1))
-						atomic.StoreInt64(&finish[i], clock.Add(1))
-					}, i, 0, g.hint[i], 0, 0, g.deps[i]...)
+		for _, workers := range []int{1, 2, 4} {
+			label := fmt.Sprintf("%s workers=%d", name, workers)
+			d := NewDep(Config{CacheSize: 1 << 20, BlockSize: 1 << 12, Workers: workers})
+			var clock atomic.Int64
+			start := make([]int64, len(g.deps))
+			finish := make([]int64, len(g.deps))
+			runs := make([]int32, len(g.deps))
+			for i := range g.deps {
+				d.Fork(func(i, _ int) {
+					atomic.AddInt32(&runs[i], 1)
+					atomic.StoreInt64(&start[i], clock.Add(1))
+					atomic.StoreInt64(&finish[i], clock.Add(1))
+				}, i, 0, g.hint[i], 0, 0, g.deps[i]...)
+			}
+			if d.BinsUsed() < 3 {
+				t.Fatalf("%s: %d bins, want at least 3", label, d.BinsUsed())
+			}
+			err := d.Run()
+			d.Close()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			for i, deps := range g.deps {
+				if runs[i] != 1 {
+					t.Fatalf("%s: thread %d ran %d times", label, i, runs[i])
 				}
-				if d.BinsUsed() < 3 {
-					t.Fatalf("%s: %d bins, want at least 3", label, d.BinsUsed())
-				}
-				err := d.Run()
-				d.Close()
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				for i, deps := range g.deps {
-					if runs[i] != 1 {
-						t.Fatalf("%s: thread %d ran %d times", label, i, runs[i])
-					}
-					for _, p := range deps {
-						if start[i] < finish[p] {
-							t.Fatalf("%s: thread %d started before its predecessor %d finished", label, i, p)
-						}
+				for _, p := range deps {
+					if start[i] < finish[p] {
+						t.Fatalf("%s: thread %d started before its predecessor %d finished", label, i, p)
 					}
 				}
 			}
@@ -168,10 +165,10 @@ func TestDepSchedulerHaltedRunLeaksNothing(t *testing.T) {
 
 // BenchmarkDepSchedulerDataflow runs SOR-shaped wavefront grids — 999
 // columns, t sweeps, the sor app's window hints and half-cache blocks —
-// through the two-worker parallel executor with empty thread bodies, so
-// the reported ns/thread is the executor's own per-thread cost (fork
-// excluded). Any cost that grows with the pending threads shows as
-// ns/thread growing with t.
+// through the executor on one worker (w1, the calling goroutine alone)
+// and on two (w2), with empty thread bodies, so the reported ns/thread is
+// the executor's own per-thread cost (fork excluded). Any cost that grows
+// with the pending threads shows as ns/thread growing with t.
 func BenchmarkDepSchedulerDataflow(b *testing.B) {
 	const (
 		cols     = 999
@@ -179,35 +176,37 @@ func BenchmarkDepSchedulerDataflow(b *testing.B) {
 		l2       = 2 << 20
 	)
 	null := func(int, int) {}
-	for _, iters := range []int{10, 30, 90} {
-		b.Run(fmt.Sprintf("t=%d", iters), func(b *testing.B) {
-			d := NewDep(Config{CacheSize: l2, BlockSize: l2 / 2, Workers: 2})
-			defer d.Close()
-			prev := make([]ThreadID, cols)
-			cur := make([]ThreadID, cols)
-			var deps [2]ThreadID
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				b.StopTimer()
-				for it := 0; it < iters; it++ {
-					for j := 0; j < cols; j++ {
-						dd := deps[:0]
-						if j > 0 {
-							dd = append(dd, cur[j-1])
+	for _, workers := range []int{1, 2} {
+		for _, iters := range []int{10, 30, 90} {
+			b.Run(fmt.Sprintf("w%d/t=%d", workers, iters), func(b *testing.B) {
+				d := NewDep(Config{CacheSize: l2, BlockSize: l2 / 2, Workers: workers})
+				defer d.Close()
+				prev := make([]ThreadID, cols)
+				cur := make([]ThreadID, cols)
+				var deps [2]ThreadID
+				b.ResetTimer()
+				for n := 0; n < b.N; n++ {
+					b.StopTimer()
+					for it := 0; it < iters; it++ {
+						for j := 0; j < cols; j++ {
+							dd := deps[:0]
+							if j > 0 {
+								dd = append(dd, cur[j-1])
+							}
+							if it > 0 && j+1 < cols {
+								dd = append(dd, prev[j+1])
+							}
+							cur[j] = d.Fork(null, j, 0, uint64(j)*colBytes, uint64(j+3)*colBytes, 0, dd...)
 						}
-						if it > 0 && j+1 < cols {
-							dd = append(dd, prev[j+1])
-						}
-						cur[j] = d.Fork(null, j, 0, uint64(j)*colBytes, uint64(j+3)*colBytes, 0, dd...)
+						prev, cur = cur, prev
 					}
-					prev, cur = cur, prev
+					b.StartTimer()
+					if err := d.Run(); err != nil {
+						b.Fatal(err)
+					}
 				}
-				b.StartTimer()
-				if err := d.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*iters*cols), "ns/thread")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*iters*cols), "ns/thread")
+			})
+		}
 	}
 }

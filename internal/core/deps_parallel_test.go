@@ -37,30 +37,37 @@ func forkWavefront(d *DepScheduler, grid []int64, iters, cols int) {
 	}
 }
 
-// TestDepSchedulerParallelWavefrontMatchesSerial runs the same
-// dependence grid through the serial executor and the parallel
-// dataflow executor and requires identical results.
+// TestDepSchedulerParallelWavefrontMatchesSerial runs the dependence
+// grid through the executor at every worker count and requires the grid
+// a plain nested loop over forkWavefront's recurrence computes, so the
+// oracle does not share the executor it checks.
 func TestDepSchedulerParallelWavefrontMatchesSerial(t *testing.T) {
 	const iters, cols = 7, 23
-	serial := make([]int64, iters*cols)
-	ds := NewDep(Config{CacheSize: 1 << 20, BlockSize: 1 << 14})
-	forkWavefront(ds, serial, iters, cols)
-	if err := ds.Run(); err != nil {
-		t.Fatal(err)
+	want := make([]int64, iters*cols)
+	for it := 0; it < iters; it++ {
+		for j := 0; j < cols; j++ {
+			v := int64(1)
+			if j > 0 {
+				v += want[it*cols+j-1]
+			}
+			if it > 0 && j+1 < cols {
+				v += want[(it-1)*cols+j+1]
+			}
+			want[it*cols+j] = v
+		}
 	}
 
-	for _, workers := range []int{2, 4} {
-		par := make([]int64, iters*cols)
-		dp := NewDep(Config{CacheSize: 1 << 20, BlockSize: 1 << 14, Workers: workers})
-		defer dp.Close()
-		forkWavefront(dp, par, iters, cols)
-		if err := dp.Run(); err != nil {
+	for _, workers := range []int{0, 1, 2, 4} {
+		got := make([]int64, iters*cols)
+		d := NewDep(Config{CacheSize: 1 << 20, BlockSize: 1 << 14, Workers: workers})
+		defer d.Close()
+		forkWavefront(d, got, iters, cols)
+		if err := d.Run(); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		for k := range serial {
-			if serial[k] != par[k] {
-				t.Fatalf("workers=%d: cell %d = %d, serial %d",
-					workers, k, par[k], serial[k])
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("workers=%d: cell %d = %d, want %d", workers, k, got[k], want[k])
 			}
 		}
 	}

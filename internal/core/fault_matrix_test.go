@@ -13,10 +13,10 @@ import (
 
 // The fault-injection matrix: a deterministic injected panic at the
 // first, middle, and last thread of a run, across every execution path —
-// serial, segmented parallel, dependence-serial, and wavefront
-// (DepScheduler's parallel dataflow executor) — must be contained into a
-// typed error, quiesce without leaking goroutines, and leave the
-// scheduler reusable. These tests are part of the -race suite; the detector verifies the containment paths
+// serial, segmented parallel, dep-serial (DepScheduler's dataflow
+// executor on one worker), and wavefront (the same executor on four) —
+// must be contained into a typed error, quiesce without leaking
+// goroutines, and leave the scheduler reusable. These tests are part of the -race suite; the detector verifies the containment paths
 // carry the same happens-before edges as normal completion.
 
 const matrixThreads = 600

@@ -24,16 +24,15 @@ type ThreadPanicError struct {
 	// Value is the recovered panic value of the thread body.
 	Value any
 	// Phase names the execution path: "run" (Scheduler.RunContext, serial
-	// or parallel dispatch), "run-each" (RunEachContext), "dep-run"
-	// (DepScheduler serial drain), or "dataflow" (DepScheduler parallel
-	// executor).
+	// or parallel dispatch), "run-each" (RunEachContext), or "dataflow"
+	// (DepScheduler, at every worker count).
 	Phase string
 	// Worker is the worker index that executed the thread; 0 is the
 	// goroutine that called Run.
 	Worker int
 	// Bin locates the thread's bin: the tour index for Scheduler runs, or
 	// the DepScheduler's bin index (bins number in first-fork order) for
-	// "dep-run" and "dataflow".
+	// "dataflow".
 	Bin int
 	// Thread identifies the thread within the bin: its fork-order index
 	// for Scheduler runs, or its ThreadID for DepScheduler runs.
@@ -64,7 +63,7 @@ func newRunControl(ctx context.Context) *runControl {
 
 // halted reports whether workers should stop claiming bins: a panic was
 // recorded or the context is done. Called once per bin (once per thread
-// by the DepScheduler's parallel executor); the fast path is one relaxed
+// by the DepScheduler's executor); the fast path is one relaxed
 // atomic load plus ctx.Err (a nil return for Background).
 func (c *runControl) halted() bool {
 	return c.stop.Load() || c.ctx.Err() != nil

@@ -113,9 +113,6 @@ func New(cfg Config) *Scheduler {
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = DefaultCacheSize
 	}
-	if cfg.Dims <= 0 {
-		cfg.Dims = MaxHints
-	}
 	if cfg.GroupSize <= 0 {
 		cfg.GroupSize = DefaultGroupSize
 	}
@@ -135,7 +132,7 @@ func New(cfg Config) *Scheduler {
 // tables on reconfiguration).
 func (s *Scheduler) Init(blockSize, hashDim uint64) {
 	if blockSize == 0 {
-		blockSize = DefaultBlockSize(s.cfg.CacheSize, s.cfg.Dims)
+		blockSize = DefaultBlockSize(s.cfg.CacheSize, MaxHints)
 	} else {
 		blockSize = floorPow2(blockSize)
 	}
@@ -338,12 +335,18 @@ func (s *Scheduler) Run(keep bool) {
 // leaked), and immediately reusable for a fresh Fork/Run cycle. The Runs
 // counter is not incremented for a failed run.
 func (s *Scheduler) RunContext(ctx context.Context, keep bool) error {
+	return s.run(ctx, keep, nil)
+}
+
+// run is the body of RunContext and, with a non-nil beforeBin hook, of
+// RunEachContext.
+func (s *Scheduler) run(ctx context.Context, keep bool, beforeBin func(bin, threads int)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	order := s.tour()
 	s.snapshotRun(order)
-	if err := s.executeAll(ctx, order); err != nil {
+	if err := s.executeAll(ctx, order, beforeBin); err != nil {
 		s.release()
 		return err
 	}
@@ -356,15 +359,19 @@ func (s *Scheduler) RunContext(ctx context.Context, keep bool) error {
 
 // executeAll runs the ordered bins, serially or across workers, holding
 // the running flag for the duration (released even if a thread panics, so
-// a recovered misuse leaves the scheduler reusable after Init).
-func (s *Scheduler) executeAll(ctx context.Context, order []*bin) error {
+// a recovered misuse leaves the scheduler reusable after Init). A non-nil
+// beforeBin hook forces the serial loop and names its phase "run-each".
+func (s *Scheduler) executeAll(ctx context.Context, order []*bin, beforeBin func(bin, threads int)) error {
 	s.running.Store(true)
 	defer s.running.Store(false)
-	if s.cfg.Workers > 1 && len(order) > 1 {
+	phase := "run"
+	if beforeBin != nil {
+		phase = "run-each"
+	} else if s.cfg.Workers > 1 && len(order) > 1 {
 		return s.runSegmented(ctx, order)
 	}
 	start := s.met.now()
-	sp := s.met.span(0, "run")
+	sp := s.met.span(0, phase)
 	threads, bins := 0, 0
 	var err error
 	for i, b := range order {
@@ -372,7 +379,10 @@ func (s *Scheduler) executeAll(ctx context.Context, order []*bin) error {
 			err = cerr
 			break
 		}
-		n, perr := s.runBinContained(b, i, 0, "run")
+		if beforeBin != nil {
+			beforeBin(i, b.threads)
+		}
+		n, perr := s.runBinContained(b, i, 0, phase)
 		threads += n
 		bins++
 		if perr != nil {
@@ -410,40 +420,10 @@ func (s *Scheduler) RunEach(keep bool, beforeBin func(bin, threads int)) {
 // and any error destroys the schedule regardless of keep. Panics in the
 // beforeBin hook itself are the caller's own and propagate unchanged.
 func (s *Scheduler) RunEachContext(ctx context.Context, keep bool, beforeBin func(bin, threads int)) error {
-	if ctx == nil {
-		ctx = context.Background()
+	if beforeBin == nil {
+		beforeBin = func(int, int) {}
 	}
-	order := s.tour()
-	s.snapshotRun(order)
-	var err error
-	func() {
-		s.running.Store(true)
-		defer s.running.Store(false)
-		for i, b := range order {
-			if cerr := ctx.Err(); cerr != nil {
-				err = cerr
-				return
-			}
-			if beforeBin != nil {
-				beforeBin(i, b.threads)
-			}
-			_, perr := s.runBinContained(b, i, 0, "run-each")
-			if perr != nil {
-				err = perr
-				return
-			}
-		}
-		err = ctx.Err() // cancellation wins even on a completed tour
-	}()
-	if err != nil {
-		s.release()
-		return err
-	}
-	s.runs.Add(1)
-	if !keep {
-		s.release()
-	}
-	return nil
+	return s.run(ctx, keep, beforeBin)
 }
 
 func (s *Scheduler) snapshotRun(order []*bin) {

@@ -114,7 +114,9 @@ func (c Config) RunJob(ctx context.Context, spec JobSpec) (SimResult, error) {
 
 // RunExperiment runs one whole experiment, named as in Experiments,
 // under the same containment and classification as RunJob, returning
-// the rendered table text.
+// the rendered table text. A context that is done once rendering
+// returns yields its error and no text: the table stopped at the rows
+// that had finished, and the rest would render as zeros.
 func (c Config) RunExperiment(ctx context.Context, name string) (string, error) {
 	c, err := c.bind(ctx)
 	if err != nil {
@@ -125,7 +127,13 @@ func (c Config) RunExperiment(ctx context.Context, name string) (string, error) 
 		return "", err
 	}
 	text, perr := contained(e.Name, e.Name, func() string { return e.Render(c, nil).String() })
-	return text, servedErr(perr)
+	if err := servedErr(perr); err != nil {
+		return "", err
+	}
+	if c.Context != nil && c.Context.Err() != nil {
+		return "", c.Context.Err()
+	}
+	return text, nil
 }
 
 // bind bounds c by ctx (nil keeps Config.Context) and reports a context

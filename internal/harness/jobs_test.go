@@ -174,6 +174,21 @@ func TestRunJobDeadline(t *testing.T) {
 	}
 }
 
+// TestRunExperimentDeadline pins that a table whose deadline expires
+// mid-run reports the deadline and no text: the rows that never ran
+// would otherwise render as zeros under a nil error.
+func TestRunExperimentDeadline(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	text, err := Quick().RunExperiment(ctx, "table2")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if text != "" {
+		t.Fatalf("text = %q, want none", text)
+	}
+}
+
 // TestPipelinedJobFailureLeaksNoGoroutine is the satellite-1 regression
 // for the daemon's steady state: a pipelined job that dies mid-run (here
 // via cancellation; a thread panic takes the same unwind) used to leak

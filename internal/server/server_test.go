@@ -152,6 +152,24 @@ func TestServeLifecycle(t *testing.T) {
 	}
 }
 
+// TestTableJobDeadline pins that a table job which hits its deadline
+// fails with "deadline exceeded" instead of completing with the rows that
+// never ran rendered as zeros.
+func TestTableJobDeadline(t *testing.T) {
+	s := testServer(t, Config{Workers: 1, Harness: harness.Quick()})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	code, st, _ := postJob(t, ts, `{"kind":"table","variant":"table2","deadline_ms":20}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d", code)
+	}
+	st = waitJob(t, ts, st.ID)
+	if st.State != StateFailed || st.Error != "deadline exceeded" || st.Table != "" {
+		t.Fatalf("table job past its deadline: state %s error %q table %q", st.State, st.Error, st.Table)
+	}
+}
+
 // TestModeAliasesRunDefaultPath pins job-spec compatibility: "mode"
 // names a reference-stream path from when there was a choice, so a spec
 // carrying any of the old names, in any case, must still validate and

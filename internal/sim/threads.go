@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"context"
-
 	"threadsched/internal/core"
 	"threadsched/internal/vm"
 )
@@ -80,20 +78,4 @@ func (t *Threads) Run(keep bool) { t.Sched.Run(keep) }
 // core.Scheduler.RunEach.
 func (t *Threads) RunEach(keep bool, beforeBin func(bin, threads int)) {
 	t.Sched.RunEach(keep, beforeBin)
-}
-
-// RunContext is the contained form of Run: a panicking traced thread
-// returns as a *core.ThreadPanicError and a done ctx stops the tour at
-// the next bin boundary, exactly as on the underlying scheduler. The
-// recorder may then hold a partial reference stream; abandon it (or the
-// trace file, unclosed, will read back ErrTruncated — which is the
-// point) rather than feeding it to a simulation.
-func (t *Threads) RunContext(ctx context.Context, keep bool) error {
-	return t.Sched.RunContext(ctx, keep)
-}
-
-// RunEachContext is the contained form of RunEach; see
-// core.Scheduler.RunEachContext.
-func (t *Threads) RunEachContext(ctx context.Context, keep bool, beforeBin func(bin, threads int)) error {
-	return t.Sched.RunEachContext(ctx, keep, beforeBin)
 }

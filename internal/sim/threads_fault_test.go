@@ -28,7 +28,7 @@ func TestThreadsRunContextContainsPanic(t *testing.T) {
 		}, i, 0, 0, 0, 0)
 	}
 	forkRefs := c // forks already recorded; threads not yet started
-	err := th.RunContext(context.Background(), false)
+	err := th.Sched.RunContext(context.Background(), false)
 	var tp *core.ThreadPanicError
 	if !errors.As(err, &tp) {
 		t.Fatalf("err = %v, want *core.ThreadPanicError", err)
@@ -54,7 +54,7 @@ func TestThreadsRunContextCancelled(t *testing.T) {
 	cancel()
 	ran := false
 	th.Fork(func(int, int) { ran = true }, 0, 0, 0, 0, 0)
-	if err := th.RunContext(ctx, false); !errors.Is(err, context.Canceled) {
+	if err := th.Sched.RunContext(ctx, false); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if ran {
@@ -63,7 +63,7 @@ func TestThreadsRunContextCancelled(t *testing.T) {
 	// The failed run destroyed the schedule; fork again for the run-each
 	// variant.
 	th.Fork(func(int, int) { ran = true }, 0, 0, 0, 0, 0)
-	if err := th.RunEachContext(ctx, false, nil); !errors.Is(err, context.Canceled) {
+	if err := th.Sched.RunEachContext(ctx, false, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunEachContext err = %v, want context.Canceled", err)
 	}
 	if ran {

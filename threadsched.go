@@ -78,6 +78,8 @@ type (
 
 // DepScheduler adds dependence constraints between threads — the
 // extension the paper's §6 leaves open; ThreadID names a forked thread.
+// It has one executor, a dataflow loop on Config.Workers workers (the
+// calling goroutine alone below two).
 type (
 	DepScheduler = core.DepScheduler
 	ThreadID     = core.ThreadID
@@ -182,7 +184,8 @@ func NewK(cfg KConfig) *KScheduler { return core.NewK(cfg) }
 
 // NewDep returns a dependence-aware scheduler: threads may name
 // previously forked threads they must run after, and Run executes a
-// locality-greedy topological order.
+// locality-greedy topological order, independent threads clustered by
+// bin.
 func NewDep(cfg Config) *DepScheduler { return core.NewDep(cfg) }
 
 // NewForCache returns a Scheduler with default parameters for a
