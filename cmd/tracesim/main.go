@@ -9,7 +9,7 @@
 //	tracesim [-machine r8000|r10000] [-scale N] [-tlb entries]
 //	         [-l1i size,line,assoc] [-l1d size,line,assoc] [-l2 size,line,assoc]
 //	         [-pagesize N -placement identity|sequential|random|coloring]
-//	         [-slices N] [-parallel N]
+//	         [-parallel N]
 //	         [-metrics metrics.json] [-timeline timeline.json]
 //	         trace-file... (or - for stdin)
 //
@@ -27,17 +27,6 @@
 // reader's whatever the trace size; on a single-processor runtime the
 // pipeline drains inline.
 // The tests check every report against a per-reference serial replay.
-//
-// -slices N additionally parallelizes the simulation itself: references
-// are routed by address class (set-index bits common to every cache
-// level) to N independent cache-hierarchy shards that simulate
-// concurrently, and the merged counters are provably bit-identical to
-// the serial replay (each set's state depends only on its own reference
-// subsequence, which slicing preserves in order). Slicing preloads the
-// file and decodes it across GOMAXPROCS workers, so it requires file
-// inputs; it is incompatible with -pagesize and -tlb (translation and a
-// global TLB couple state across slices); it disables L2 miss
-// classification (a global shadow stack) with a warning.
 //
 // -metrics writes a JSON snapshot counting each replay's references
 // (tracesim.refs, one track per input file), replay wall times and the
@@ -67,7 +56,6 @@ import (
 	"threadsched/internal/cache"
 	"threadsched/internal/machine"
 	"threadsched/internal/obs"
-	"threadsched/internal/sim"
 	"threadsched/internal/trace"
 	"threadsched/internal/vm"
 )
@@ -76,10 +64,11 @@ import (
 // tables are mutated per reference, so concurrent replays must not share
 // them.
 type simSetup struct {
-	h   *cache.Hierarchy
-	cfg cache.HierarchyConfig
-	pt  *vm.PageTable
-	tlb *vm.TLB
+	h          *cache.Hierarchy
+	cfg        cache.HierarchyConfig
+	pt         *vm.PageTable
+	tlb        *vm.TLB // nil unless -tlb; its entry count is tlbEntries
+	tlbEntries int
 }
 
 func main() {
@@ -91,7 +80,6 @@ func main() {
 	pageSize := flag.Uint64("pagesize", 0, "simulate a physically indexed L2 with this page size")
 	tlbEntries := flag.Int("tlb", 0, "simulate a fully-associative data TLB with this many entries")
 	placement := flag.String("placement", "identity", "page placement: identity, sequential, random, coloring")
-	slices := flag.Int("slices", 1, "simulate across N address-sliced cache shards (merged counters bit-identical to serial; disables classification, excludes -pagesize/-tlb)")
 	parallel := flag.Int("parallel", 1, "replay up to N trace files concurrently")
 	metricsOut := flag.String("metrics", "", "write per-input reference counts and replay times (JSON) to this file")
 	timelineOut := flag.String("timeline", "", "write a Chrome trace_event replay timeline (JSON) to this file")
@@ -120,65 +108,8 @@ func main() {
 		}
 		*o.dst = c
 	}
-	if *slices > 1 {
-		if *pageSize > 0 || *tlbEntries > 0 {
-			fatal("-slices is incompatible with -pagesize and -tlb: translation and a global TLB couple state across address slices")
-		}
-		for _, name := range flag.Args() {
-			if name == "-" {
-				fatal("-slices requires file inputs (stdin streams)")
-			}
-		}
-		if cfg.L1I.Classify || cfg.L1D.Classify || cfg.L2.Classify {
-			fmt.Fprintln(os.Stderr, "tracesim: -slices disables miss classification (the shadow stack is global state address slicing cannot reproduce)")
-			cfg.L1I.Classify, cfg.L1D.Classify, cfg.L2.Classify = false, false, false
-		}
-	}
 
-	// newSetup builds a fresh hierarchy (plus page table and TLB when
-	// requested) for each input, so -parallel replays share nothing.
-	newSetup := func() (*simSetup, error) {
-		s := &simSetup{cfg: cfg}
-		if *pageSize > 0 {
-			var pol vm.Policy
-			switch strings.ToLower(*placement) {
-			case "identity":
-				pol = vm.IdentityPolicy{}
-			case "sequential":
-				pol = vm.SequentialPolicy{}
-			case "random":
-				pol = vm.RandomPolicy{Seed: 1}
-			case "coloring":
-				colors := cfg.L2.Size / uint64(max(1, cfg.L2.Assoc)) / *pageSize
-				pol = vm.ColoringPolicy{Colors: max64(1, colors)}
-			default:
-				return nil, fmt.Errorf("unknown placement %q", *placement)
-			}
-			var err error
-			s.pt, err = vm.NewPageTable(*pageSize, pol)
-			if err != nil {
-				return nil, err
-			}
-		}
-		h, err := cache.NewHierarchy(cfg, s.pt)
-		if err != nil {
-			return nil, fmt.Errorf("bad cache configuration: %v", err)
-		}
-		s.h = h
-		if *tlbEntries > 0 {
-			pg := *pageSize
-			if pg == 0 {
-				pg = vm.DefaultPageSize
-			}
-			s.tlb, err = vm.NewTLB(*tlbEntries, 0, pg)
-			if err != nil {
-				return nil, err
-			}
-			h.AttachTLB(s.tlb)
-		}
-		return s, nil
-	}
-
+	newSetup := setupFunc(cfg, *pageSize, *placement, *tlbEntries)
 	names := flag.Args()
 	var o *obs.Obs
 	tracks := make([]int, len(names))
@@ -218,7 +149,7 @@ func main() {
 			if errs[i] = ctx.Err(); errs[i] != nil {
 				return
 			}
-			errs[i] = replay(ctx, &outs[i], name, len(names) > 1, *slices, *tlbEntries, newSetup, o, tracks[i])
+			errs[i] = replay(ctx, &outs[i], name, len(names) > 1, newSetup, o, tracks[i])
 		}(i, name)
 	}
 	wg.Wait()
@@ -244,6 +175,54 @@ func main() {
 	}
 }
 
+// setupFunc returns the builder of each input's simSetup: a fresh
+// hierarchy on cfg, plus a page table of pageSize bytes placed by
+// placement and a data TLB of tlbEntries entries when those are
+// nonzero, so -parallel replays share nothing.
+func setupFunc(cfg cache.HierarchyConfig, pageSize uint64, placement string, tlbEntries int) func() (*simSetup, error) {
+	return func() (*simSetup, error) {
+		s := &simSetup{cfg: cfg, tlbEntries: tlbEntries}
+		if pageSize > 0 {
+			var pol vm.Policy
+			switch strings.ToLower(placement) {
+			case "identity":
+				pol = vm.IdentityPolicy{}
+			case "sequential":
+				pol = vm.SequentialPolicy{}
+			case "random":
+				pol = vm.RandomPolicy{Seed: 1}
+			case "coloring":
+				colors := cfg.L2.Size / uint64(max(1, cfg.L2.Assoc)) / pageSize
+				pol = vm.ColoringPolicy{Colors: max64(1, colors)}
+			default:
+				return nil, fmt.Errorf("unknown placement %q", placement)
+			}
+			var err error
+			s.pt, err = vm.NewPageTable(pageSize, pol)
+			if err != nil {
+				return nil, err
+			}
+		}
+		h, err := cache.NewHierarchy(cfg, s.pt)
+		if err != nil {
+			return nil, fmt.Errorf("bad cache configuration: %v", err)
+		}
+		s.h = h
+		if tlbEntries > 0 {
+			pg := pageSize
+			if pg == 0 {
+				pg = vm.DefaultPageSize
+			}
+			s.tlb, err = vm.NewTLB(tlbEntries, 0, pg)
+			if err != nil {
+				return nil, err
+			}
+			h.AttachTLB(s.tlb)
+		}
+		return s, nil
+	}
+}
+
 func writeFileWith(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -261,7 +240,7 @@ func writeFileWith(path string, write func(io.Writer) error) error {
 // argument order. With o attached, the replay records its reference count
 // and wall time on its own track, its pipeline's metrics alongside, and a
 // timeline span named after the input.
-func replay(ctx context.Context, w io.Writer, name string, labeled bool, slices, tlbEntries int, newSetup func() (*simSetup, error), o *obs.Obs, track int) error {
+func replay(ctx context.Context, w io.Writer, name string, labeled bool, newSetup func() (*simSetup, error), o *obs.Obs, track int) error {
 	s, err := newSetup()
 	if err != nil {
 		return err
@@ -272,27 +251,6 @@ func replay(ctx context.Context, w io.Writer, name string, labeled bool, slices,
 		start = time.Now()
 	}
 	sp := o.Timeline().Begin(track, name)
-	// Address-sliced parallel simulation: decode fans references to
-	// per-slice cache shards, merged for the report. Cancellation is
-	// coarser here (the whole replay, not per chunk).
-	if slices > 1 && name != "-" {
-		mf, err := trace.LoadFile(name)
-		if err != nil {
-			return fmt.Errorf("reading trace: %w", err)
-		}
-		sh, err := sim.NewShardedHierarchy(s.cfg, slices)
-		if err != nil {
-			return err
-		}
-		if err := sh.Replay(mf, 0); err != nil {
-			return fmt.Errorf("reading trace: %w", err)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		s.h = sh.Merged()
-		return finishReplay(w, s, name, labeled, tlbEntries, o, track, start, sp)
-	}
 	var in io.Reader
 	if name == "-" {
 		in = os.Stdin
@@ -336,13 +294,6 @@ func replay(ctx context.Context, w io.Writer, name string, labeled bool, slices,
 		}
 		return fmt.Errorf("reading trace: %w", err)
 	}
-	return finishReplay(w, s, name, labeled, tlbEntries, o, track, start, sp)
-}
-
-// finishReplay closes a successful replay's timeline span, records its
-// metrics, and writes its report — shared by the streaming and sliced
-// replay paths.
-func finishReplay(w io.Writer, s *simSetup, name string, labeled bool, tlbEntries int, o *obs.Obs, track int, start time.Time, sp obs.Span) error {
 	sp.End()
 	if o.Enabled() {
 		refs := s.h.Refs()
@@ -353,12 +304,18 @@ func finishReplay(w io.Writer, s *simSetup, name string, labeled bool, tlbEntrie
 	if labeled {
 		fmt.Fprintf(w, "== %s ==\n", name)
 	}
+	s.report(w)
+	return nil
+}
+
+// report writes the replay's report: the hierarchy's, then the TLB's
+// line when one is attached.
+func (s *simSetup) report(w io.Writer) {
 	report(w, s.h, s.cfg, s.pt)
 	if s.tlb != nil {
 		fmt.Fprintf(w, "dtlb: %d entries, %d accesses, %d misses, rate %.2f%%\n",
-			tlbEntries, s.tlb.Accesses(), s.tlb.Misses(), s.tlb.MissRate())
+			s.tlbEntries, s.tlb.Accesses(), s.tlb.Misses(), s.tlb.MissRate())
 	}
-	return nil
 }
 
 // selectMachine returns the named base machine model with its caches

@@ -99,14 +99,6 @@ func writeTrace(t *testing.T, dir string, n int) string {
 	return path
 }
 
-// setupFor returns a newSetup that builds each replay a fresh hierarchy
-// on cfg.
-func setupFor(cfg cache.HierarchyConfig) func() (*simSetup, error) {
-	return func() (*simSetup, error) {
-		return &simSetup{h: cache.MustNewHierarchy(cfg, nil), cfg: cfg}, nil
-	}
-}
-
 // serialReplay is the per-reference oracle the streamed replay is
 // checked against: one goroutine decodes the file and records each
 // reference into a fresh hierarchy with one Record call, then writes the
@@ -127,7 +119,7 @@ func serialReplay(w io.Writer, name string, newSetup func() (*simSetup, error)) 
 	}); err != nil {
 		return fmt.Errorf("reading trace: %w", err)
 	}
-	report(w, s.h, s.cfg, s.pt)
+	s.report(w)
 	return nil
 }
 
@@ -136,7 +128,7 @@ func serialReplay(w io.Writer, name string, newSetup func() (*simSetup, error)) 
 func TestReplayBatchSerialIdentical(t *testing.T) {
 	path := writeTrace(t, t.TempDir(), 20000)
 	m := machine.R8000().Scaled(64)
-	setup := setupFor(m.Caches)
+	setup := setupFunc(m.Caches, 0, "", 0)
 	var serial bytes.Buffer
 	if err := serialReplay(&serial, path, setup); err != nil {
 		t.Fatal(err)
@@ -146,7 +138,7 @@ func TestReplayBatchSerialIdentical(t *testing.T) {
 	for _, procs := range []int{1, 2} {
 		var batch bytes.Buffer
 		prev := runtime.GOMAXPROCS(procs)
-		err := replay(context.Background(), &batch, path, false, 1, 0, setup, nil, 0)
+		err := replay(context.Background(), &batch, path, false, setup, nil, 0)
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
@@ -161,7 +153,7 @@ func TestReplayBatchSerialIdentical(t *testing.T) {
 	o := obs.New(2)
 	track := o.AcquireTrack()
 	var observed bytes.Buffer
-	if err := replay(context.Background(), &observed, path, false, 1, 0, setup, o, track); err != nil {
+	if err := replay(context.Background(), &observed, path, false, setup, o, track); err != nil {
 		t.Fatal(err)
 	}
 	if observed.String() != serial.String() {
@@ -177,27 +169,44 @@ func TestReplayBatchSerialIdentical(t *testing.T) {
 	}
 
 	var labeled bytes.Buffer
-	if err := replay(context.Background(), &labeled, path, true, 1, 0, setup, nil, 0); err != nil {
+	if err := replay(context.Background(), &labeled, path, true, setup, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(labeled.String(), "== "+path+" ==\n") {
 		t.Errorf("multi-file replay not labeled:\n%s", labeled.String())
 	}
+}
 
-	// Address-sliced simulation renders a report byte-identical to the
-	// serial replay on the same (declassified) configuration.
-	dcfg := m.Caches
-	dcfg.L2.Classify = false
-	dsetup := setupFor(dcfg)
-	var dserial, sliced bytes.Buffer
-	if err := serialReplay(&dserial, path, dsetup); err != nil {
+// A replay through a physically indexed L2 and a data TLB, with L2 miss
+// classification on, renders a report byte-identical to the serial
+// oracle's through its own page table and TLB built the same way.
+func TestReplayTranslatedSerialIdentical(t *testing.T) {
+	path := writeTrace(t, t.TempDir(), 20000)
+	cfg := machine.R8000().Scaled(64).Caches
+	if !cfg.L2.Classify {
+		t.Fatal("the R8000's L2 does not classify misses")
+	}
+	setup := setupFunc(cfg, 4096, "random", 16)
+	var serial bytes.Buffer
+	if err := serialReplay(&serial, path, setup); err != nil {
 		t.Fatal(err)
 	}
-	if err := replay(context.Background(), &sliced, path, false, 2, 0, dsetup, nil, 0); err != nil {
-		t.Fatal(err)
+	for _, want := range []string{"L2 miss classification:", "vm: policy random,", "dtlb: 16 entries,"} {
+		if !strings.Contains(serial.String(), want) {
+			t.Fatalf("serial report lacks %q:\n%s", want, serial.String())
+		}
 	}
-	if dserial.String() != sliced.String() {
-		t.Errorf("sliced replay diverges from serial:\nserial:\n%s\nsliced:\n%s", dserial.String(), sliced.String())
+	for _, procs := range []int{1, 2} {
+		var batch bytes.Buffer
+		prev := runtime.GOMAXPROCS(procs)
+		err := replay(context.Background(), &batch, path, false, setup, nil, 0)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial.String() != batch.String() {
+			t.Errorf("GOMAXPROCS=%d: translated replay diverges from serial:\nserial:\n%s\nbatch:\n%s", procs, serial.String(), batch.String())
+		}
 	}
 }
 
@@ -206,11 +215,11 @@ func TestReplayBatchSerialIdentical(t *testing.T) {
 // reader's and the pipeline's fixed buffers, never the file image.
 func TestReplayMemoryIndependentOfTraceSize(t *testing.T) {
 	path := writeTrace(t, t.TempDir(), 4<<20)
-	setup := setupFor(machine.R8000().Scaled(64).Caches)
+	setup := setupFunc(machine.R8000().Scaled(64).Caches, 0, "", 0)
 	var before, after runtime.MemStats
 	var out bytes.Buffer
 	runtime.ReadMemStats(&before)
-	err := replay(context.Background(), &out, path, false, 1, 0, setup, nil, 0)
+	err := replay(context.Background(), &out, path, false, setup, nil, 0)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +243,7 @@ func TestReplayDamagedTrace(t *testing.T) {
 	}
 	flipped := bytes.Clone(data)
 	flipped[len(flipped)/2] ^= 0x40
-	setup := setupFor(machine.R8000().Scaled(64).Caches)
+	setup := setupFunc(machine.R8000().Scaled(64).Caches, 0, "", 0)
 	for _, tc := range []struct {
 		name string
 		data []byte
@@ -248,7 +257,7 @@ func TestReplayDamagedTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out bytes.Buffer
-		err := replay(context.Background(), &out, damaged, false, 1, 0, setup, nil, 0)
+		err := replay(context.Background(), &out, damaged, false, setup, nil, 0)
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
@@ -279,11 +288,11 @@ func TestReplayCancelledReleasesPipeline(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	setup := setupFor(machine.R8000().Scaled(64).Caches)
+	setup := setupFunc(machine.R8000().Scaled(64).Caches, 0, "", 0)
 	done := make(chan error, 1)
 	go func() {
 		var out bytes.Buffer
-		done <- replay(ctx, &out, "-", false, 1, 0, setup, nil, 0)
+		done <- replay(ctx, &out, "-", false, setup, nil, 0)
 	}()
 	// The pipe holds far less than a quarter of the trace, so this
 	// write returns only once the replay is well under way.

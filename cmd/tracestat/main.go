@@ -5,25 +5,15 @@
 // paper's §4.5 question — how big can a scheduling block get before a
 // given cache stops absorbing its working set — directly from a trace.
 //
-// The trace is preloaded and decoded through the sharded zero-copy
-// reader: a timed decode-only pass across -workers workers reports the
-// wire-speed throughput (how fast the trace can be turned back into
-// references, independent of any analysis), then the analysis pass
-// replays the same in-memory image in file order. Version-1 traces fall
-// back to the serial decoder automatically.
+// One pass streams the trace, from a file or stdin, through
+// trace.Reader a chunk at a time: it tallies every reference and feeds
+// the selected ones to the stack-distance analyzer, so memory stays flat
+// in the trace size. A damaged trace fails the pass with the reader's
+// typed truncated or corrupt error.
 //
 // Usage:
 //
-//	tracestat [-line 128] [-kind all|data|ifetch] [-workers N] [-mmap]
-//	          [-slices N] trace-file (or - for stdin)
-//
-// -mmap maps the trace file read-only instead of reading it into memory
-// (falling back transparently where mmap is unavailable): opening a
-// multi-gigabyte trace costs an index scan, not a copy. -slices N adds a
-// timed fan-out pass that routes decoded references by line address to N
-// concurrent per-slice counting consumers — the hand-off machinery
-// sim.ShardedHierarchy uses for parallel cache simulation — and verifies
-// the merged tally against the decode-only pass.
+//	tracestat [-line 128] [-kind all|data|ifetch] trace-file (or - for stdin)
 //
 // Produce traces with examples/tracegen or any trace.Writer.
 package main
@@ -33,8 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"time"
 
 	"threadsched/internal/stackdist"
 	"threadsched/internal/trace"
@@ -43,9 +31,6 @@ import (
 func main() {
 	lineSize := flag.Uint64("line", 128, "cache line size in bytes (power of two)")
 	kind := flag.String("kind", "data", "references to analyze: all, data, ifetch")
-	workers := flag.Int("workers", 0, "sharded decode worker count (0 = GOMAXPROCS, 1 = serial)")
-	useMmap := flag.Bool("mmap", false, "memory-map the trace file instead of reading it into memory")
-	slices := flag.Int("slices", 0, "time an address-fanned decode across N slice consumers (0 = skip)")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -61,83 +46,22 @@ func main() {
 		fatal("%v", err)
 	}
 
-	var f *trace.MemFile
-	if name := flag.Arg(0); name == "-" {
-		data, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			fatal("reading stdin: %v", err)
-		}
-		f, err = trace.NewMemFile(data)
-		if err != nil {
-			fatal("%v", err)
-		}
-	} else if *useMmap {
-		f, err = trace.OpenMemFileMmap(name)
+	in := io.Reader(os.Stdin)
+	if name := flag.Arg(0); name != "-" {
+		f, err := os.Open(name)
 		if err != nil {
 			fatal("%v", err)
 		}
 		defer f.Close()
-	} else {
-		f, err = trace.LoadFile(name)
-		if err != nil {
-			fatal("%v", err)
-		}
+		in = f
 	}
-
-	// Decode-only pass: every byte checksummed, every record
-	// materialized, nothing analyzed — the trace's wire-speed ceiling.
-	w := *workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	start := time.Now()
-	counts, err := f.CountRefs(w)
+	counts, ana, err := analyze(in, *lineSize, keep)
 	if err != nil {
-		fatal("reading trace: %v", err)
-	}
-	decodeWall := time.Since(start)
-
-	// Optional sliced fan-out pass: decoded references route by line
-	// address to per-slice counting consumers over the SPSC slice queues.
-	// The merged tally must match the decode-only pass exactly.
-	var slicedWall time.Duration
-	if *slices > 1 {
-		shift := uint(0)
-		for l := *lineSize; l > 1; l >>= 1 {
-			shift++
-		}
-		start = time.Now()
-		merged, err := slicedTally(f, w, *slices, shift)
-		if err != nil {
-			fatal("reading trace: %v", err)
-		}
-		slicedWall = time.Since(start)
-		if merged != counts {
-			fatal("sliced fan-out diverged: %+v vs %+v", merged, counts)
-		}
-	}
-
-	ana := stackdist.New(*lineSize)
-	if err := f.ForEachBatch(w, func(refs []trace.Ref) error {
-		for i := range refs {
-			if keep(refs[i]) {
-				ana.Record(refs[i])
-			}
-		}
-		return nil
-	}); err != nil {
 		fatal("reading trace: %v", err)
 	}
 
 	fmt.Printf("trace: %d references (ifetch %d, load %d, store %d)\n",
 		counts.Total(), counts.IFetches(), counts.Loads(), counts.Stores())
-	fmt.Printf("decode: v%d, %d chunks, %d bytes; %.0f refs/sec decode-only (%d workers, %s)\n",
-		f.Version(), f.Chunks(), f.Size(),
-		float64(counts.Total())/decodeWall.Seconds(), w, decodeWall.Round(time.Microsecond))
-	if slicedWall > 0 {
-		fmt.Printf("sliced: %.0f refs/sec through %d slice consumers (%d workers, %s; tally verified)\n",
-			float64(counts.Total())/slicedWall.Seconds(), *slices, w, slicedWall.Round(time.Microsecond))
-	}
 	fmt.Printf("analyzed (%s): %d refs, footprint %d lines = %s\n",
 		*kind, ana.Refs(), ana.Distinct(), bytesStr(ana.Distinct()**lineSize))
 	fmt.Printf("\nfully-associative LRU miss-ratio curve (line %dB):\n", *lineSize)
@@ -147,28 +71,22 @@ func main() {
 	}
 }
 
-// slicedTally fans the trace out by line address (addr >> shift) to
-// slices concurrent counting consumers and returns the merged tally —
-// which must equal a serial count, whatever the routing.
-func slicedTally(f *trace.MemFile, workers, slices int, shift uint) (trace.Counts, error) {
-	tallies := make([]trace.Counts, slices)
-	err := f.ForEachSliced(workers, slices,
-		func(fan *trace.SliceFan, refs []trace.Ref) error {
-			n := fan.Slices()
-			for i := range refs {
-				fan.Emit(int(refs[i].Addr>>shift)%n, refs[i])
+// analyze streams the trace in r a chunk at a time, tallying every
+// reference and feeding those keep selects to a stack-distance analyzer
+// of lineSize-byte lines.
+func analyze(r io.Reader, lineSize uint64, keep func(trace.Ref) bool) (trace.Counts, *stackdist.Analyzer, error) {
+	var counts trace.Counts
+	ana := stackdist.New(lineSize)
+	err := trace.NewReader(r).ForEachBatch(0, func(refs []trace.Ref) error {
+		counts.RecordBatch(refs)
+		for i := range refs {
+			if keep(refs[i]) {
+				ana.Record(refs[i])
 			}
-			return nil
-		},
-		func(slice int, refs []trace.Ref) error {
-			tallies[slice].RecordBatch(refs)
-			return nil
-		})
-	var merged trace.Counts
-	for i := range tallies {
-		merged.Add(tallies[i])
-	}
-	return merged, err
+		}
+		return nil
+	})
+	return counts, ana, err
 }
 
 func kindFilter(kind string) (func(trace.Ref) bool, error) {

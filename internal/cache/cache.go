@@ -1,9 +1,10 @@
 // Package cache implements the trace-driven cache simulator used by the
 // reproduction in place of the paper's modified DineroIII. It provides
-// set-associative write-back caches with LRU replacement, a two-level
-// hierarchy (split first-level instruction and data caches over a unified
-// second-level cache), and single-pass classification of misses into
-// compulsory, capacity, and conflict misses in the sense of Hill & Smith:
+// set-associative write-back, write-allocate caches with LRU replacement
+// and optional next-line prefetch, a two-level hierarchy (split
+// first-level instruction and data caches over a unified second-level
+// cache), and single-pass classification of misses into compulsory,
+// capacity, and conflict misses in the sense of Hill & Smith:
 //
 //   - compulsory: the first reference ever made to the line;
 //   - capacity:   a non-compulsory miss that a fully-associative LRU cache
@@ -35,10 +36,6 @@ type Config struct {
 	// Classify enables compulsory/capacity/conflict classification for
 	// this cache, at the cost of a shadow fully-associative model.
 	Classify bool
-	// Repl selects the replacement policy (default LRU).
-	Repl Replacement
-	// Write selects the write policy (default write-back write-allocate).
-	Write WritePolicy
 	// Prefetch enables tagged next-line prefetching: a demand miss also
 	// fetches the following line (if absent). Prefetches are counted in
 	// Stats.Prefetches, not in Accesses/Misses, matching DineroIII's
@@ -127,10 +124,9 @@ func (s *Stats) Add(other Stats) {
 }
 
 // line is one way of a set. Within a set, ways are ordered by recency
-// under LRU and by allocation age under FIFO (index 0 is the newest;
-// random replacement keeps no order), and under every policy the valid
-// ways form a prefix: allocation fills the first invalid way and
-// Invalidate closes the hole it leaves.
+// (index 0 is the most recent), and the valid ways form a prefix:
+// allocation fills the first invalid way and Invalidate closes the hole
+// it leaves.
 type line struct {
 	ln    uint64 // line number (address >> log2(LineSize))
 	valid bool
@@ -142,23 +138,14 @@ type Cache struct {
 	cfg       Config
 	lineShift uint
 	setMask   uint64
-	wayShift  uint // log2(ways); Validate makes every associativity a power of two
-	// The policy flags hoist the cfg comparisons the access path branches
-	// on, so a reference reads one boolean instead of re-deriving it.
-	lru      bool   // hits refresh recency
-	wbAlloc  bool   // write-back write-allocate: writes dirty their line
-	noAlloc  bool   // write-through no-allocate: write misses do not allocate
-	random   bool   // RandomRepl victim selection
-	nextLine bool   // tagged next-line prefetch on demand misses
-	lines    []line // every set's ways in one slab: set s is lines[s<<wayShift:][:ways]
-	stats    Stats
+	wayShift  uint   // log2(ways); Validate makes every associativity a power of two
+	nextLine  bool   // tagged next-line prefetch on demand misses
+	lines     []line // every set's ways in one slab: set s is lines[s<<wayShift:][:ways]
+	stats     Stats
 
 	// classification state, nil unless cfg.Classify
 	shadow *lruTable
 	seen   seenSet
-
-	// rng drives RandomRepl victim selection, deterministically.
-	rng uint64
 }
 
 // New builds a cache from cfg.
@@ -175,10 +162,6 @@ func New(cfg Config) (*Cache, error) {
 		lineShift: uint(bits.TrailingZeros64(cfg.LineSize)),
 		setMask:   cfg.Sets() - 1,
 		wayShift:  uint(bits.TrailingZeros64(ways)),
-		lru:       cfg.Repl == LRU,
-		wbAlloc:   cfg.Write == WriteBackAllocate,
-		noAlloc:   cfg.Write == WriteThroughNoAllocate,
-		random:    cfg.Repl == RandomRepl,
 		nextLine:  cfg.Prefetch,
 		lines:     make([]line, cfg.Lines()),
 	}
@@ -227,9 +210,9 @@ func (c *Cache) set(ln uint64) []line {
 // access presents one access to line ln and reports whether it hit. It
 // is the whole per-access path of a cache level, behind every entry
 // point: the counters and the shadow touch a classified cache needs,
-// then way 0 of the set, whose hit reorders nothing under any policy,
-// then the other ways with the LRU refresh. The miss half is out of
-// line in miss, so the hit path stays short.
+// then way 0 of the set, whose hit reorders nothing, then the other ways
+// with the LRU refresh. The miss half is out of line in miss, so the hit
+// path stays short.
 func (c *Cache) access(ln uint64, write bool) bool {
 	if write {
 		c.stats.Writes++
@@ -240,21 +223,16 @@ func (c *Cache) access(ln uint64, write bool) bool {
 	set := c.set(ln)
 	if w := &set[0]; w.valid && w.ln == ln {
 		if write {
-			// Lines are dirty only under write-back; write-through never sets it.
-			w.dirty = c.wbAlloc
+			w.dirty = true
 		}
 		return true
 	}
 	for i := 1; i < len(set); i++ {
 		if set[i].valid && set[i].ln == ln {
-			// Under LRU, refresh to the MRU position; FIFO and random
-			// replacement leave residency order alone.
-			dirty := set[i].dirty || write && c.wbAlloc
-			if c.lru {
-				shiftDown(set[:i+1])
-				i = 0
-			}
-			set[i] = line{ln: ln, valid: true, dirty: dirty}
+			// Refresh to the MRU position.
+			dirty := set[i].dirty || write
+			shiftDown(set[:i+1])
+			set[0] = line{ln: ln, valid: true, dirty: dirty}
 			return true
 		}
 	}
@@ -266,10 +244,9 @@ func (c *Cache) access(ln uint64, write bool) bool {
 // access on a first-level cache: it resolves an access that hits way 0
 // of its set, reporting false (having changed nothing) for every other
 // access. Such a hit changes only the read/write counters and the dirty
-// bit under every policy — LRU would move way 0 to way 0, and FIFO and
-// random never reorder on a hit. A classified cache must also leave its
-// shadow fully-associative model unchanged, which holds only when ln is
-// already the shadow's most recent line.
+// bit: LRU would move way 0 to way 0. A classified cache must also leave
+// its shadow fully-associative model unchanged, which holds only when ln
+// is already the shadow's most recent line.
 func (c *Cache) mruHit(ln uint64, write bool) bool {
 	w := &c.lines[(ln&c.setMask)<<(c.wayShift&63)]
 	if !w.valid || w.ln != ln || c.shadow != nil && !c.shadow.isHead(ln) {
@@ -277,8 +254,7 @@ func (c *Cache) mruHit(ln uint64, write bool) bool {
 	}
 	if write {
 		c.stats.Writes++
-		// Lines are dirty only under write-back; write-through never sets it.
-		w.dirty = c.wbAlloc
+		w.dirty = true
 	} else {
 		c.stats.Reads++
 	}
@@ -299,12 +275,7 @@ func (c *Cache) miss(set []line, ln uint64, write, shadowHit bool) {
 			c.stats.Conflict++
 		}
 	}
-	if write && c.noAlloc {
-		// Write misses do not allocate; the write goes to the next level
-		// (the hierarchy routes it).
-		return
-	}
-	c.allocate(set, ln, write && c.wbAlloc)
+	c.allocate(set, ln, write)
 	// The last line of the address space has no next line: ln+1 would
 	// wrap to line 0 (1-byte lines) or name a line no address maps to.
 	if c.nextLine && ln != ^uint64(0)>>c.lineShift {
@@ -322,25 +293,9 @@ func (c *Cache) prefetch(ln uint64) {
 	c.allocate(set, ln, false)
 }
 
-// allocate installs line ln in its set over the policy-selected victim.
+// allocate installs line ln at the head of its set, evicting the LRU
+// tail.
 func (c *Cache) allocate(set []line, ln uint64, dirty bool) {
-	if c.random {
-		// Fill an invalid way (the valid ways form a prefix, so the first
-		// invalid way follows them); otherwise evict a pseudo-random one.
-		idx := 0
-		for idx < len(set) && set[idx].valid {
-			idx++
-		}
-		if idx == len(set) {
-			c.rng = c.rng*6364136223846793005 + 1442695040888963407
-			idx = int((c.rng >> 33) % uint64(len(set)))
-		}
-		c.evict(set[idx])
-		set[idx] = line{ln: ln, valid: true, dirty: dirty}
-		return
-	}
-	// LRU and FIFO both evict the tail and insert at the head; they
-	// differ only in whether hits refresh the order.
 	c.evict(set[len(set)-1])
 	shiftDown(set)
 	set[0] = line{ln: ln, valid: true, dirty: dirty}

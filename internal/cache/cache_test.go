@@ -239,20 +239,35 @@ func TestLRUStackInclusionProperty(t *testing.T) {
 // shadow plus compulsory on totals. Check: misses >= cold misses and
 // misses >= fully-assoc misses is NOT guaranteed... so instead verify the
 // invariant we rely on for classification: compulsory misses equal the
-// number of distinct lines referenced.
+// number of distinct lines referenced, and no more than the misses.
 func TestCompulsoryEqualsDistinctLines(t *testing.T) {
 	f := func(addrs []uint16) bool {
 		c, _ := New(Config{Size: 256, LineSize: 32, Assoc: 2, Classify: true})
 		distinct := make(map[uint64]bool)
-		for _, a := range addrs {
+		for i, a := range addrs {
 			addr := uint64(a)
-			c.Access(addr, false)
+			c.Access(addr, i%3 == 0)
 			distinct[addr>>5] = true
 		}
-		return c.Stats().Compulsory == uint64(len(distinct))
+		st := c.Stats()
+		return st.Compulsory == uint64(len(distinct)) && st.Misses >= st.Compulsory
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// On a cyclic stream one line larger than a set (the classic LRU worst
+// case), LRU misses every access.
+func TestCyclicThrashBehavior(t *testing.T) {
+	lru := MustNew(Config{Size: 128, LineSize: 32, Assoc: 4})
+	for round := 0; round < 50; round++ {
+		for ln := uint64(0); ln < 5; ln++ { // 5 lines, 4 ways, one set
+			lru.Access(ln*32, false)
+		}
+	}
+	if hits := lru.Stats().Accesses - lru.Stats().Misses; hits != 0 {
+		t.Fatalf("LRU got %d hits on a cyclic over-capacity stream, want 0", hits)
 	}
 }
 

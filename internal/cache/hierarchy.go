@@ -99,9 +99,9 @@ func (h *Hierarchy) Record(r trace.Ref) { h.RecordBatch([]trace.Ref{r}) }
 // reaching any cache.
 //
 // Each reference goes to its first-level cache, line by line. Each
-// first-level miss, and under write-through each write, goes on to the
-// second level, translated through the page table if one is attached,
-// and each second-level miss on to the third. The loop body is the whole
+// first-level miss goes on to the second level, translated through the
+// page table if one is attached, and each second-level miss on to the
+// third. The loop body is the whole
 // per-reference path, with no call of its own, so that a first-level
 // hit on the set's MRU way, which the inlined mruHit resolves, costs no
 // call at all.
@@ -127,9 +127,7 @@ func (h *Hierarchy) RecordBatch(refs []trace.Ref) {
 			last = end >> l1.lineShift
 		}
 		for addr := r.Addr; ; {
-			// One test covers both outcomes, so that a write-through
-			// write is counted and forwarded exactly once.
-			if !(l1.mruHit(ln, write) || l1.access(ln, write)) || write && l1.noAlloc {
+			if !l1.mruHit(ln, write) && !l1.access(ln, write) {
 				pa := addr
 				if h.pt != nil {
 					pa = h.pt.Translate(addr)

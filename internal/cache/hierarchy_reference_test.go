@@ -14,8 +14,8 @@ import (
 // refHierarchy is a naive model of Hierarchy built from refCache levels,
 // sharing no code with it. It routes each reference as the Hierarchy doc
 // says: by kind to the L1I or the L1D; a reference spanning lines, line
-// by line; each L1 miss and each write-through write to the L2, through
-// the page table if there is one; and each L2 miss to the L3.
+// by line; each L1 miss to the L2, through the page table if there is
+// one; and each L2 miss to the L3.
 type refHierarchy struct {
 	l1i, l1d, l2, l3 *refCache // l3 nil when absent
 	pt               *vm.PageTable
@@ -55,7 +55,7 @@ func (h *refHierarchy) record(r trace.Ref) {
 		// The first piece keeps the reference's own address; later
 		// pieces start at their line.
 		addr := max(r.Addr, ln*lineSize)
-		if !l1.access(addr, write) || write && l1.cfg.Write == WriteThroughNoAllocate {
+		if !l1.access(addr, write) {
 			if h.pt != nil {
 				addr = h.pt.Translate(addr)
 			}
@@ -71,10 +71,10 @@ func (h *refHierarchy) record(r trace.Ref) {
 
 // wideHierarchy builds a hierarchy configuration from sel, sixteen bits
 // per level in the order L1I, L1D, L2, L3, one wideConfig selector per
-// nibble (line size, line count, associativity, policy), so every level
-// can be write-through, prefetching or classified. extra's low bit adds
-// the L3; its next bit asks for a page table, whose size in bytes, 64 B
-// to 4 KiB, its top bits pick (0 for none).
+// nibble (line size, line count, associativity, options), so every
+// level can prefetch or classify. extra's low bit adds the L3; its next
+// bit asks for a page table, whose size in bytes, 64 B to 4 KiB, its top
+// bits pick (0 for none).
 func wideHierarchy(sel uint64, extra uint8) (cfg HierarchyConfig, pageSize uint64) {
 	level := func(name string, s uint64) Config {
 		c := wideConfig(uint8(s&15), uint8(s>>4&15), uint8(s>>8&15), uint8(s>>12&15))
@@ -149,10 +149,10 @@ func checkHierarchyAgainstReference(cfg HierarchyConfig, pageSize, seed uint64, 
 var refSizes = [...]uint8{0, 1, 4, 8, 8, 16, 64, 255}
 
 // Property: the hierarchy matches the naive model over random
-// geometries and policies at every level — write-through first levels,
-// prefetch, classification — with and without an L3 and a page table,
-// on streams of mixed kinds and sizes whose addresses cover the whole
-// 64-bit range, including spans past its top.
+// geometries and options at every level — prefetch, classification —
+// with and without an L3 and a page table, on streams of mixed kinds and
+// sizes whose addresses cover the whole 64-bit range, including spans
+// past its top.
 func TestHierarchyMatchesReference(t *testing.T) {
 	f := func(seed int64, sel uint64, extra uint8) bool {
 		cfg, pageSize := wideHierarchy(sel, extra)

@@ -10,10 +10,9 @@ import (
 )
 
 // refCache is a deliberately naive model of one cache level, sharing no
-// code with Cache: per set, a slice of resident lines ordered newest
-// first (by recency under LRU, by allocation under FIFO), plus — when
-// classifying — a fully-associative LRU list and a set of every line
-// ever missed on. Line and set numbers come from division and modulo
+// code with Cache: per set, a slice of resident lines ordered most
+// recent first, plus — when classifying — a fully-associative LRU list
+// and a set of every line ever missed on. Line and set numbers come from division and modulo
 // rather than shifts and masks. The real Cache must agree with it
 // access for access.
 type refCache struct {
@@ -59,12 +58,8 @@ func (r *refCache) access(addr uint64, write bool) bool {
 		if l.ln != ln {
 			continue
 		}
-		l.dirty = l.dirty || write && r.cfg.Write == WriteBackAllocate
-		if r.cfg.Repl == LRU {
-			*set = slices.Insert(slices.Delete(*set, i, i+1), 0, l)
-		} else {
-			(*set)[i] = l
-		}
+		l.dirty = l.dirty || write
+		*set = slices.Insert(slices.Delete(*set, i, i+1), 0, l)
 		return true
 	}
 	r.stats.Misses++
@@ -79,10 +74,7 @@ func (r *refCache) access(addr uint64, write bool) bool {
 		}
 		r.seen[ln] = true
 	}
-	if write && r.cfg.Write == WriteThroughNoAllocate {
-		return false
-	}
-	r.insert(ln, write && r.cfg.Write == WriteBackAllocate)
+	r.insert(ln, write)
 	// The last line of the address space has no next line to prefetch.
 	if next := ln + 1; r.cfg.Prefetch && ln != ^uint64(0)/r.cfg.LineSize && !r.resident(next) {
 		r.stats.Prefetches++
@@ -193,8 +185,8 @@ func checkAgainstReference(cfg Config, ops []refOp) error {
 
 // wideConfig builds a valid configuration from selector values: line
 // sizes 1 B to 4 KiB, 1 to 64 lines, any associativity that divides the
-// line count (0 = fully associative), LRU or FIFO, either write policy,
-// and prefetch and classification on or off.
+// line count (0 = fully associative), and prefetch (policySel bit 0) and
+// classification (bit 1) on or off.
 func wideConfig(lineSel, linesSel, assocSel, policySel uint8) Config {
 	lineSize := uint64(1) << (lineSel % 13)
 	lines := uint64(1) << (linesSel % 7)
@@ -207,10 +199,8 @@ func wideConfig(lineSel, linesSel, assocSel, policySel uint8) Config {
 		Size:     lineSize * lines,
 		LineSize: lineSize,
 		Assoc:    assoc,
-		Repl:     []Replacement{LRU, FIFO}[policySel&1],
-		Write:    []WritePolicy{WriteBackAllocate, WriteThroughNoAllocate}[policySel>>1&1],
-		Prefetch: policySel>>2&1 == 1,
-		Classify: policySel>>3&1 == 1,
+		Prefetch: policySel&1 == 1,
+		Classify: policySel>>1&1 == 1,
 	}
 }
 
@@ -290,8 +280,8 @@ func TestCacheFastPathMatchesReferenceOnRuns(t *testing.T) {
 	}
 }
 
-// Property: agreement over every policy the model knows — LRU and FIFO,
-// write-back and write-through, prefetch, classification — with
+// Property: agreement over every option the model knows — prefetch and
+// classification — with
 // invalidations mixed in, line sizes from 1 byte to 4 KiB, and addresses
 // from the whole 64-bit range.
 func TestCacheMatchesReferenceWidePolicies(t *testing.T) {

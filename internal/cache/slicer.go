@@ -9,7 +9,7 @@ import (
 )
 
 // Address-sliced simulation support. A set-associative cache partitions
-// the address space by set index, and LRU/FIFO replacement makes each
+// the address space by set index, and LRU replacement makes each
 // set's state a pure function of the subsequence of references that map
 // to it. Two references can therefore interact only when they share a set
 // at some level of the hierarchy, and a partition of the address space
@@ -29,9 +29,9 @@ import (
 
 // ErrUnsliceable reports a hierarchy configuration whose simulation is
 // not address-separable: some feature couples state across sets (global
-// classification stacks, shared replacement randomness, cross-line
-// prefetch), or the levels' set-index bit ranges have an empty
-// intersection so every pair of addresses may interact at some level.
+// classification stacks, cross-line prefetch), or the levels' set-index
+// bit ranges have an empty intersection so every pair of addresses may
+// interact at some level.
 var ErrUnsliceable = errors.New("cache: hierarchy is not address-sliceable")
 
 // SliceRouter routes references to slices by address class, splitting
@@ -68,10 +68,6 @@ func NewSliceRouter(cfg HierarchyConfig, slices int) (*SliceRouter, error) {
 			// The shadow fully-associative model is one global LRU stack:
 			// every reference reorders it, so any two references interact.
 			return nil, fmt.Errorf("%w: %s classifies misses (global shadow stack)", ErrUnsliceable, c.Name)
-		case c.Repl == RandomRepl:
-			// Victim selection draws from one rng shared by all sets; the
-			// draw sequence depends on the interleaving across sets.
-			return nil, fmt.Errorf("%w: %s uses random replacement (shared rng)", ErrUnsliceable, c.Name)
 		case c.Prefetch:
 			// A demand miss on line n installs line n+1, which may belong
 			// to a different class.

@@ -44,8 +44,6 @@ func TestSliceRouterGeometry(t *testing.T) {
 func TestSliceRouterRejectsCoupledState(t *testing.T) {
 	classify := sliceTestConfig()
 	classify.L2.Classify = true
-	random := sliceTestConfig()
-	random.L1D.Repl = RandomRepl
 	prefetch := sliceTestConfig()
 	prefetch.L2.Prefetch = true
 	fullAssoc := sliceTestConfig()
@@ -56,7 +54,6 @@ func TestSliceRouterRejectsCoupledState(t *testing.T) {
 
 	for name, cfg := range map[string]HierarchyConfig{
 		"classify":         classify,
-		"random repl":      random,
 		"prefetch":         prefetch,
 		"fully assoc":      fullAssoc,
 		"disjoint bit set": disjoint,

@@ -76,7 +76,6 @@ type depThread struct {
 	badDep ThreadID
 	// dependents are thread IDs to notify on completion.
 	dependents []ThreadID
-	done       bool
 }
 
 // ErrDependencyCycle reports that Run found threads that can never become
@@ -215,10 +214,8 @@ func (d *DepScheduler) Fork(f Func, arg1, arg2 int, h1, h2, h3 uint64, deps ...T
 			t.badDep = dep
 			break
 		}
-		if !d.threads[dep].done {
-			t.waits++
-			d.threads[dep].dependents = append(d.threads[dep].dependents, id)
-		}
+		t.waits++
+		d.threads[dep].dependents = append(d.threads[dep].dependents, id)
 	}
 	d.threads = append(d.threads, t)
 	d.pending++
@@ -379,7 +376,6 @@ func (d *DepScheduler) runFrom(id ThreadID, worker int, ctrl *runControl) (ran i
 	for id >= 0 && !ctrl.halted() {
 		t := &d.threads[id]
 		t.fn(t.arg1, t.arg2)
-		t.done = true
 		ran++
 		next, locked := ThreadID(-1), false
 		for _, dep := range t.dependents {
@@ -467,7 +463,7 @@ func (d *DepScheduler) cycleError() *DependencyCycleError {
 	inResidue := make(map[ThreadID]bool)
 	for id := range d.threads {
 		t := &d.threads[id]
-		if !t.done && t.waits > 0 {
+		if t.waits > 0 {
 			residue = append(residue, ThreadID(id))
 			inResidue[ThreadID(id)] = true
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"testing"
 )
@@ -94,17 +95,24 @@ func TestForkBytesBoundsForkAllocation(t *testing.T) {
 		{10000, 1},
 		{1 << 16, 4096},
 	} {
-		s := New(Config{CacheSize: 1 << 20, BlockSize: 1 << 12})
-		null := func(int, int) {}
-		got := allocated(func() {
-			for j := 0; j < c.threads; j++ {
-				h1, h2, h3 := sparseHint(j % c.bins)
-				s.Fork(null, j, 0, h1, h2, h3)
+		// The smaller of two measurements on fresh schedulers: the
+		// process's first runtime.GC starts the collector's mark-worker
+		// goroutines and can start an OS thread, several KB the runtime
+		// allocates in whichever window it lands in.
+		got := uint64(math.MaxUint64)
+		for range 2 {
+			s := New(Config{CacheSize: 1 << 20, BlockSize: 1 << 12})
+			null := func(int, int) {}
+			got = min(got, allocated(func() {
+				for j := 0; j < c.threads; j++ {
+					h1, h2, h3 := sparseHint(j % c.bins)
+					s.Fork(null, j, 0, h1, h2, h3)
+				}
+				s.tour()
+			}))
+			if st := s.Stats(); st.BinsUsed != c.bins || st.Pending != c.threads {
+				t.Fatalf("stats = %+v, want %d threads in %d bins", st, c.threads, c.bins)
 			}
-			s.tour()
-		})
-		if st := s.Stats(); st.BinsUsed != c.bins || st.Pending != c.threads {
-			t.Fatalf("stats = %+v, want %d threads in %d bins", st, c.threads, c.bins)
 		}
 		if bound := ForkBytes(c.threads, c.bins); got > bound+measureSlack {
 			t.Errorf("%d threads in %d bins allocated %d bytes, above ForkBytes %d",

@@ -213,7 +213,11 @@ func (c Config) ReplayBench(reps int, prog Progress) (ReplayResult, error) {
 	for _, w := range replayWorkers {
 		prog.printf("replaybench: decode sharded w=%d", w)
 		s, err := stage("sharded", w, reps, func() error {
-			counts, err := f.CountRefs(w)
+			var counts trace.Counts
+			err := f.ForEachBatch(w, func(refs []trace.Ref) error {
+				counts.RecordBatch(refs)
+				return nil
+			})
 			if err == nil && counts.Total() != res.Refs {
 				err = fmt.Errorf("decoded %d refs, trace has %d", counts.Total(), res.Refs)
 			}

@@ -11,12 +11,12 @@ import (
 // hierarchies in parallel, partitioned by address class (see
 // cache.SliceRouter). Each shard is a full cache.Hierarchy that consumes
 // exactly the references routed to its slice, in global file order —
-// per-set LRU/FIFO state depends only on that set's reference
+// per-set LRU state depends only on that set's reference
 // subsequence, so the merged counters are bit-identical to a serial
 // replay of the same trace, not an approximation.
 //
 // The construction rejects configurations whose simulation is not
-// address-separable (miss classification, random replacement, prefetch;
+// address-separable (miss classification, prefetch, no common set bits;
 // see cache.ErrUnsliceable), and sliced hierarchies never carry a page
 // table or TLB: translation and a global TLB stack couple state across
 // address classes.

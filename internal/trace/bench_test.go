@@ -143,9 +143,8 @@ func BenchmarkFileRoundTrip(b *testing.B) {
 }
 
 // BenchmarkShardedDecode measures pure decode wire speed from a preloaded
-// image: serial Reader versus the sharded MemFile paths at several worker
-// counts. CountRefs is the ceiling (no ordered merge); ForEachBatch adds
-// the in-order delivery and base fixup the simulation paths need.
+// image: serial Reader versus the sharded MemFile ForEachBatch, with its
+// in-order delivery and base fixup, at several worker counts.
 func BenchmarkShardedDecode(b *testing.B) {
 	refs := benchRefs(1 << 20)
 	var buf bytes.Buffer
@@ -170,15 +169,6 @@ func BenchmarkShardedDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("count-w%d", workers), func(b *testing.B) {
-			b.SetBytes(int64(len(refs)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := f.CountRefs(workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(fmt.Sprintf("ordered-w%d", workers), func(b *testing.B) {
 			b.SetBytes(int64(len(refs)))
 			b.ResetTimer()

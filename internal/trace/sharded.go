@@ -65,9 +65,6 @@ type MemFile struct {
 	total   uint64 // trailer record count (v2)
 	maxCnt  int    // largest chunk record count, sizes decode buffers
 	inj     *fault.Injector
-	// unmap releases a memory mapping backing data (OpenMemFileMmap);
-	// nil for heap-backed images. See Close.
-	unmap func() error
 }
 
 // LoadFile preloads the named trace file and builds its chunk index.
@@ -361,69 +358,4 @@ func (f *MemFile) ForEachBatch(workers int, fn func([]Ref) error) error {
 		}
 	}
 	return retErr
-}
-
-// CountRefs decodes every chunk across workers (<=0 selects GOMAXPROCS)
-// without ordered delivery and returns the reference tally by kind: the
-// pure wire-speed decode measurement — every byte checksummed, every
-// record materialized — with no serial merge on the critical path. The
-// error contract matches ForEachBatch, with the earliest damaged chunk
-// reported.
-func (f *MemFile) CountRefs(workers int) (Counts, error) {
-	var counts Counts
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if f.version == 1 || workers == 1 || len(f.chunks) < 2 {
-		err := f.Reader().ForEachBatch(0, func(refs []Ref) error {
-			counts.RecordBatch(refs)
-			return nil
-		})
-		return counts, err
-	}
-	if workers > len(f.chunks) {
-		workers = len(f.chunks)
-	}
-	var (
-		next   atomic.Int64
-		stop   atomic.Bool
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		errIdx = -1
-		retErr error
-	)
-	parts := make([]Counts, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(self int) {
-			defer wg.Done()
-			buf := make([]Ref, f.maxCnt)
-			for !stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(f.chunks) {
-					return
-				}
-				f.inj.MaybeDelay(FaultSiteShardChunk, uint64(i))
-				c := f.chunks[i]
-				if _, err := f.decodeChunk(c, buf[:c.count]); err != nil {
-					mu.Lock()
-					if errIdx < 0 || i < errIdx {
-						errIdx, retErr = i, err
-					}
-					mu.Unlock()
-					stop.Store(true)
-					return
-				}
-				parts[self].RecordBatch(buf[:c.count])
-			}
-		}(w)
-	}
-	wg.Wait()
-	if retErr != nil {
-		return Counts{}, retErr
-	}
-	for i := range parts {
-		counts.Add(parts[i])
-	}
-	return counts, nil
 }

@@ -109,35 +109,6 @@ func TestShardedV1Fallback(t *testing.T) {
 			t.Fatalf("record %d = %+v, want %+v", i, got[i], refs[i])
 		}
 	}
-	counts, err := f.CountRefs(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts.Total() != uint64(len(refs)) {
-		t.Fatalf("CountRefs total = %d, want %d", counts.Total(), len(refs))
-	}
-}
-
-// TestShardedCountRefs: the decode-only path tallies exactly what the
-// serial Counts recorder tallies, at every worker count.
-func TestShardedCountRefs(t *testing.T) {
-	refs := integrityRefs(3*frameRecs + 41)
-	data := encodeTrace(t, refs)
-	var want Counts
-	want.RecordBatch(refs)
-	f, err := NewMemFile(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 2, 4, 7} {
-		got, err := f.CountRefs(workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got != want {
-			t.Fatalf("workers=%d: counts = %+v, want %+v", workers, got, want)
-		}
-	}
 }
 
 // TestShardedCorruptionTyped: flipping any bit past the header must
@@ -245,11 +216,6 @@ func TestShardedErrorPrefix(t *testing.T) {
 	if delivered != 3*frameRecs {
 		t.Fatalf("delivered %d records before the error, want %d", delivered, 3*frameRecs)
 	}
-
-	// CountRefs reports the same damage and returns a zero tally.
-	if _, err := f2.CountRefs(4); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("CountRefs err = %v, want ErrCorrupt", err)
-	}
 }
 
 // TestShardedFnError: an error from the callback stops the decode and is
@@ -312,13 +278,6 @@ func TestShardedFaultInjection(t *testing.T) {
 				t.Fatalf("seed %d: record %d = %+v, want %+v (injection changed results)",
 					seed, i, got[i], want[i])
 			}
-		}
-		counts, err := f.CountRefs(4)
-		if err != nil {
-			t.Fatalf("seed %d: CountRefs: %v", seed, err)
-		}
-		if counts.Total() != uint64(len(refs)) {
-			t.Fatalf("seed %d: CountRefs total = %d, want %d", seed, counts.Total(), len(refs))
 		}
 	}
 }
