@@ -257,6 +257,37 @@ func TestCompulsoryEqualsDistinctLines(t *testing.T) {
 	}
 }
 
+// Property: cold misses depend only on the line size, not on the shape of
+// the cache (first touches miss regardless of sets and ways), and total
+// misses are at least the cold misses.
+func TestPoliciesShareColdMissesProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		mk := func(assoc int) *Cache {
+			return MustNew(Config{Size: 256, LineSize: 32, Assoc: assoc, Classify: true})
+		}
+		caches := []*Cache{mk(1), mk(2), mk(8)}
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 2000; i++ {
+			addr := uint64(rng.Intn(64)) * 32
+			w := rng.Intn(3) == 0
+			for _, c := range caches {
+				c.Access(addr, w)
+			}
+		}
+		want := caches[0].Stats().Compulsory
+		for _, c := range caches {
+			st := c.Stats()
+			if st.Compulsory != want || st.Misses < st.Compulsory {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
+	}
+}
+
 // On a cyclic stream one line larger than a set (the classic LRU worst
 // case), LRU misses every access.
 func TestCyclicThrashBehavior(t *testing.T) {

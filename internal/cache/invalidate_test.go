@@ -56,22 +56,24 @@ func TestInvalidateLeavesOtherLinesIntact(t *testing.T) {
 // An invalidated way is the first to be refilled: the next allocation
 // into the set takes the hole instead of evicting a valid line.
 func TestInvalidatedWayRefilledFirst(t *testing.T) {
-	// 2-way, 4 sets of 32-byte lines: 0, 128 and 256 share set 0.
-	c := mustCache(t, Config{Size: 256, LineSize: 32, Assoc: 2})
-	const a, b, x = 0, 128, 256
-	c.Access(a, false)
-	c.Access(b, false)
-	c.Invalidate(b)
-	c.Access(x, false)
-	if !c.Contains(a) || !c.Contains(x) || c.Contains(b) {
-		t.Fatalf("after A, B, Invalidate(B), C: resident %v, want A and C", c.ResidentLines())
-	}
-	if got := c.Stats().Misses; got != 3 {
-		t.Fatalf("misses = %d, want 3 cold misses", got)
-	}
-	if !c.Access(a, false) {
-		t.Fatal("A was evicted while an invalid way was free")
-	}
+	t.Run("lru", func(t *testing.T) {
+		// 2-way, 4 sets of 32-byte lines: 0, 128 and 256 share set 0.
+		c := mustCache(t, Config{Size: 256, LineSize: 32, Assoc: 2})
+		const a, b, x = 0, 128, 256
+		c.Access(a, false)
+		c.Access(b, false)
+		c.Invalidate(b)
+		c.Access(x, false)
+		if !c.Contains(a) || !c.Contains(x) || c.Contains(b) {
+			t.Fatalf("after A, B, Invalidate(B), C: resident %v, want A and C", c.ResidentLines())
+		}
+		if got := c.Stats().Misses; got != 3 {
+			t.Fatalf("misses = %d, want 3 cold misses", got)
+		}
+		if !c.Access(a, false) {
+			t.Fatal("A was evicted while an invalid way was free")
+		}
+	})
 }
 
 // Invalidating a line keeps the recency order of the others: after
